@@ -51,6 +51,7 @@ from .probspace import (
     COLUMN_ORDER,
     OUTCOME_ORDER,
     ROW_ORDER,
+    STRATEGY_ANSWERS,
     ChshOutcome,
     Event,
     FiniteProbabilitySpace,

@@ -2,8 +2,10 @@
 
 One subcommand per capability; every command writes a single document to
 stdout (json, csv, or an aligned table) and keeps diagnostics on stderr.
-Exit codes: 0 success, 1 inequality violated under --strict, 2 usage or
-configuration error.
+Exit codes: 0 success, 1 inequality violated under --strict, 2 any other
+failure (usage, configuration, or an error while computing).  Size flags
+(--n, --grid, --restarts) have upper bounds, checked before anything is
+allocated.
 
 Shared option values can come from a config file (--config PATH) holding
 ``key = value`` lines with ``#`` comments; explicit flags win over the
@@ -57,6 +59,15 @@ _CONFIG_KEYS = {
     "degrees",
 }
 
+#: Largest accepted --n: the sampler holds every trial in memory.
+_MAX_N = 10_000_000
+#: Largest accepted --restarts.
+_MAX_RESTARTS = 1000
+#: Largest accepted --grid per subcommand: factorize scans grid^4 points,
+#: witness holds a few complex arrays of grid nodes, lhv-fit builds a model
+#: on grid latent points.
+_MAX_GRID = {"factorize": 32, "witness": 1_000_000, "lhv-fit": 1024}
+
 
 def _load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
@@ -89,12 +100,15 @@ class _Options:
             return self._config[key]
         return default
 
-    def get_int(self, key: str, default: int) -> int:
+    def get_int(self, key: str, default: int, maximum: int | None = None) -> int:
         value = self.get(key, default)
         try:
-            return int(value)
+            number = int(value)
         except (TypeError, ValueError):
             raise ValueError(f"--{key} must be an integer, got {value!r}") from None
+        if maximum is not None and number > maximum:
+            raise ValueError(f"--{key} must be at most {maximum}, got {number}")
+        return number
 
     def get_bool(self, key: str) -> bool:
         value = self.get(key, False)
@@ -282,8 +296,8 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
     opts = _Options(args)
     angles = _parse_angles(opts, 4, TSIRELSON_ANGLES)
     fmt = _format(opts, "table", ("table", "json"))
-    grid = opts.get_int("grid", 21)
-    restarts = opts.get_int("restarts", 5)
+    grid = opts.get_int("grid", 21, _MAX_GRID["factorize"])
+    restarts = opts.get_int("restarts", 5, _MAX_RESTARTS)
     measure = chsh_measure(angles, SettingsDistribution.uniform())
     fit = factorizability_fit(measure, grid_points=grid, restarts=restarts)
     if fmt == "json":
@@ -299,7 +313,7 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     opts = _Options(args)
     fmt = _format(opts, "table", ("table", "json"))
-    grid = opts.get_int("grid", 10000)
+    grid = opts.get_int("grid", 10000, _MAX_GRID["witness"])
     report = fourier_witness_check(grid_size=grid)
     if fmt == "json":
         _emit_json(report.as_dict())
@@ -320,8 +334,8 @@ def _cmd_lhv_fit(args: argparse.Namespace) -> int:
     opts = _Options(args)
     angles = _parse_angles(opts, 4, TSIRELSON_ANGLES)
     fmt = _format(opts, "table", ("table", "json"))
-    grid = opts.get_int("grid", 16)
-    restarts = opts.get_int("restarts", 8)
+    grid = opts.get_int("grid", 16, _MAX_GRID["lhv-fit"])
+    restarts = opts.get_int("restarts", 8, _MAX_RESTARTS)
     seed = opts.get_int("seed", 0)
     result = m_separability_search(angles, grid_size=grid, restarts=restarts, seed=seed)
     if fmt == "json":
@@ -346,7 +360,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     angles = _parse_angles(opts, 4, TSIRELSON_ANGLES)
     settings = _parse_settings(opts, SettingsDistribution.uniform())
     fmt = _format(opts, "csv", ("csv", "json", "table"))
-    n = opts.get_int("n", 10000)
+    n = opts.get_int("n", 10000, _MAX_N)
     seed = opts.get_int("seed", 0)
     measure = chsh_measure(angles, settings)
     series = sample(measure, n=n, seed=seed)
@@ -385,7 +399,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
+def _add_common(sub: argparse.ArgumentParser, command: str, *names: str) -> None:
     if "angles" in names:
         sub.add_argument("--angles", help="comma-separated detector orientations")
     if "settings" in names:
@@ -395,11 +409,11 @@ def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
     if "seed" in names:
         sub.add_argument("--seed", help="random seed (unsigned 64-bit)")
     if "n" in names:
-        sub.add_argument("--n", help="number of trials")
+        sub.add_argument("--n", help=f"number of trials (at most {_MAX_N})")
     if "grid" in names:
-        sub.add_argument("--grid", help="grid size for the search or quadrature")
+        sub.add_argument("--grid", help=f"grid size (at most {_MAX_GRID[command]})")
     if "restarts" in names:
-        sub.add_argument("--restarts", help="number of random restarts")
+        sub.add_argument("--restarts", help=f"number of random restarts (at most {_MAX_RESTARTS})")
     if "mode" in names:
         sub.add_argument("--mode", help="'conditional' or 'partial'")
     if "strict" in names:
@@ -438,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name, (handler, flags, help_text) in handlers.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p, *flags)
+        _add_common(p, name, *flags)
         p.set_defaults(handler=handler)
     return parser
 
@@ -453,6 +467,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit 1 is reserved for a violation under --strict
+        print(f"error: {exc!r}", file=sys.stderr)
         return 2
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .probspace import (
     COLUMN_ORDER,
+    STRATEGY_ANSWERS,
     JointMeasure,
     SettingsDistribution,
     ZeroProbabilityError,
@@ -144,16 +145,11 @@ def chsh_partial(measure: JointMeasure) -> ChshReport:
 def realism_table_check() -> list[int]:
     """CHSH combination over all 16 joint assignments of (x0, x1, y0, y1).
 
-    Assignment k sets x0, x1, y0, y1 from bits 0..3 of k (+1 if the bit is
-    set, else -1) and evaluates x0*y0 + x1*y0 + x1*y1 - x0*y1.  Every value
-    is -2 or +2: fixing all four answers in advance can never exceed the
-    classical bound.
+    Assignment k takes x0, x1, y0, y1 from row k of `STRATEGY_ANSWERS` and
+    evaluates x0*y0 + x1*y0 + x1*y1 - x0*y1.  Every value is -2 or +2:
+    fixing all four answers in advance can never exceed the classical bound.
     """
-    values = []
-    for k in range(16):
-        x0, x1, y0, y1 = ((1 if (k >> bit) & 1 else -1) for bit in range(4))
-        values.append(x0 * y0 + x1 * y0 + x1 * y1 - x0 * y1)
-    return values
+    return [x0 * y0 + x1 * y0 + x1 * y1 - x0 * y1 for x0, x1, y0, y1 in STRATEGY_ANSWERS.tolist()]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from .probspace import COLUMN_ORDER, ROW_ORDER, JointMeasure
+from .probspace import COLUMN_ORDER, ROW_ORDER, STRATEGY_ANSWERS, JointMeasure
 from .singlet import DetectorAngle, conditional_joint_probs
 
 __all__ = [
@@ -407,21 +407,31 @@ class SeparabilityResult:
 
     ``m_hat`` is the largest absolute deviation between the model's
     predictions and the target over the compared cells, i.e. the max of
-    ``per_setting_deviations``.
+    ``per_setting_deviations``.  ``lower_bound`` is the mixture LP's dual
+    objective: no local model, on any latent grid, has a worst deviation
+    below it.  ``gap`` is ``m_hat - lower_bound``.  Both are None when the
+    LP solver failed.
     """
 
     m_hat: float
     model: LHVModel
     per_setting_deviations: dict[tuple[int, int, int, int], float]
+    lower_bound: float | None = None
 
     def __post_init__(self) -> None:
         worst = max(self.per_setting_deviations.values(), default=0.0)
         if abs(self.m_hat - worst) > _ATOL:
             raise ValueError("m_hat must equal the largest per-cell deviation")
 
+    @property
+    def gap(self) -> float | None:
+        return None if self.lower_bound is None else self.m_hat - self.lower_bound
+
     def as_dict(self) -> dict:
         return {
             "m_hat": self.m_hat,
+            "lower_bound": self.lower_bound,
+            "gap": self.gap,
             "per_setting_deviations": [
                 {"x": x, "y": y, "i": i, "j": j, "deviation": d}
                 for (x, y, i, j), d in self.per_setting_deviations.items()
@@ -546,29 +556,25 @@ def _two_point_start(size: int, target: np.ndarray, i: int) -> np.ndarray:
 def _deterministic_tables() -> np.ndarray:
     """Predicted tables of all 16 deterministic strategies, shape (16, 4, 2, 2).
 
-    Strategy k fixes the four answers (x0, x1, y0, y1) from bits 0..3 of k
-    (+1 if the bit is set, else -1).  Every local model's prediction is a
-    convex mixture of these tables.
+    Strategy k gives the answers (x0, x1, y0, y1) of row k of
+    `STRATEGY_ANSWERS`.  Every local model's prediction is a convex mixture
+    of these tables.
     """
-    tables = np.zeros((16, 4, 2, 2))
-    for k in range(16):
-        x = tuple(1 if (k >> b) & 1 else -1 for b in (0, 1))
-        y = tuple(1 if (k >> b) & 1 else -1 for b in (2, 3))
-        for row, (xo, yo) in enumerate(ROW_ORDER):
-            for i in (0, 1):
-                for j in (0, 1):
-                    if x[i] == xo and y[j] == yo:
-                        tables[k, row, i, j] = 1.0
-    return tables
+    x = STRATEGY_ANSWERS[:, None, :2, None]  # (strategy, row, i, j)
+    y = STRATEGY_ANSWERS[:, None, None, 2:]
+    rows = np.array(ROW_ORDER)
+    hit = (x == rows[None, :, 0, None, None]) & (y == rows[None, :, 1, None, None])
+    return hit.astype(float)
 
 
-def _solve_mixture_lp(target: np.ndarray, mask: np.ndarray) -> np.ndarray | None:
+def _solve_mixture_lp(target: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, float] | None:
     """Mixture weights over the 16 deterministic strategies minimizing the worst deviation.
 
     Minimizing the largest masked-cell deviation over such mixtures is a
     linear program, and its optimum is the true minimum over *all* local
     models: every local model predicts a convex mixture of the
-    deterministic tables.  Returns None if the solver fails.
+    deterministic tables.  Returns the weights and the dual objective, a
+    lower bound on that minimum, or None if the solver fails.
     """
     tables = _deterministic_tables()
     cells = np.argwhere(mask)
@@ -599,7 +605,13 @@ def _solve_mixture_lp(target: np.ndarray, mask: np.ndarray) -> np.ndarray | None
     )
     if not out.success:
         return None
-    return np.clip(out.x[:16], 0.0, 1.0)
+    # Dual objective from the marginals (sensitivities to each right-hand side
+    # and bound); by weak duality no mixture does better.  Lower bounds are 0
+    # and the deviation has no upper bound, so only the weights' bounds of 1 count.
+    lower_bound = float(
+        b_ub @ out.ineqlin.marginals + out.eqlin.marginals[0] + out.upper.marginals[:16].sum()
+    )
+    return np.clip(out.x[:16], 0.0, 1.0), lower_bound
 
 
 def _mixture_start(size: int, weights: np.ndarray) -> np.ndarray | None:
@@ -620,11 +632,10 @@ def _mixture_start(size: int, weights: np.ndarray) -> np.ndarray | None:
     p = np.full((2, size), 0.5)
     q = np.full((2, size), 0.5)
     raw = np.zeros(size)
-    for slot, (k, weight) in enumerate(zip(keep, kept)):
-        for b in (0, 1):
-            p[b, slot] = 1.0 if (k >> b) & 1 else 0.0  # X answers +1
-            q[b, slot] = 0.0 if (k >> (2 + b)) & 1 else 1.0  # Y answers -1
-        raw[slot] = weight
+    answers = STRATEGY_ANSWERS[keep]
+    p[:, : len(keep)] = (answers[:, :2] == 1).T  # X answers +1
+    q[:, : len(keep)] = (answers[:, 2:] == -1).T  # Y answers -1
+    raw[: len(keep)] = kept
     theta[0 : 2 * size] = p.ravel()
     theta[2 * size : 4 * size] = q.ravel()
     theta[4 * size :] = raw
@@ -669,11 +680,29 @@ def m_separability_search(
     """Search for a hidden-variable model minimizing the worst cell deviation.
 
     The target is the conditional table p(x, y | a_i, b_j) at the given
-    orientations (a0, a1, b0, b1).  The search runs a coarse-to-fine cascade
-    over latent grid sizes (doubling up to ``grid_size``); each level runs
-    compass search from structured starts, ``restarts`` seeded random
-    starts, and the previous level's best embedded with zero-weight padding,
-    so enlarging the grid from k to 2k can never give a worse ``m_hat``.
+    orientations (a0, a1, b0, b1).  Every local model predicts a convex
+    mixture of the 16 deterministic strategies (Fine's theorem), so a linear
+    program over the mixture weights gives the exact optimum over all local
+    models.  Call the number of strategies with nonzero weight in its
+    solution the *support*.
+
+    * Exact path: when ``grid_size`` is at least the support, the LP mixture
+      placed on ``grid_size`` latent points (unused points carry weight 0)
+      is returned as is, provided its worst deviation is within 1e-12 of
+      the certificate below.  ``restarts`` and ``seed`` are then ignored.
+    * Search path: below the support the problem is non-convex.  This path
+      also runs if the LP solver fails, or if its vertex misses the
+      certificate by more than 1e-12 (HiGHS's feasibility tolerance is 1e-7,
+      which can matter on nearly degenerate tables).  A coarse-to-fine
+      cascade over latent grid sizes (doubling up to ``grid_size``) runs
+      compass search at each level from structured starts, ``restarts``
+      seeded random starts, and the previous level's best embedded with
+      zero-weight padding, so enlarging the grid from k to 2k can never give
+      a worse ``m_hat``.
+
+    The result's ``lower_bound`` is the LP's dual objective, a certificate
+    that no local model on any grid does better; ``gap`` is how far
+    ``m_hat`` sits above it (at most 1e-12 on the exact path).
 
     ``setting_pairs`` restricts the compared cells to a subset of the four
     columns; ``restrict_outcome`` restricts them to one (x, y) row.  By
@@ -702,42 +731,46 @@ def m_separability_search(
         for (i, j) in pairs:
             mask[row, i, j] = True
 
-    a_settings = sorted({i for (i, _j) in pairs})
-    mixture_weights = _solve_mixture_lp(target, mask)
+    lp = _solve_mixture_lp(target, mask)
+    mixture_weights, lower_bound = lp if lp is not None else (None, None)
+    # At or above the support the packed mixture is the optimum up to the
+    # solver's tolerance.  It is returned without search when its worst
+    # deviation meets the dual bound; otherwise the search polishes it.
     best_theta: np.ndarray | None = None
-    best_value = math.inf
+    if mixture_weights is not None and grid_size >= np.count_nonzero(mixture_weights):
+        packed = _mixture_start(grid_size, mixture_weights)
+        if _objective(packed, grid_size, target, mask) <= lower_bound + _ATOL:
+            best_theta = packed
+    if best_theta is None:
+        a_settings = sorted({i for (i, _j) in pairs})
+        for size in _level_sizes(grid_size):
+            fn = lambda t: _objective(t, size, target, mask)  # noqa: E731
+            starts: list[np.ndarray] = []
+            if best_theta is not None:
+                starts.append(_pad_start(best_theta, best_theta.shape[0] // 5, size))
+            if mixture_weights is not None:
+                packed = _mixture_start(size, mixture_weights)
+                if packed is not None:
+                    starts.append(packed)
+            starts.append(_product_start(size, target))
+            starts.append(_central_start(size))
+            if size >= 2:
+                starts.extend(_two_point_start(size, target, i) for i in a_settings)
+            for k in range(restarts):
+                rng = np.random.default_rng(np.random.SeedSequence((seed, size, k)))
+                starts.append(rng.random(5 * size))
 
-    for size in _level_sizes(grid_size):
-        fn = lambda t: _objective(t, size, target, mask)  # noqa: E731
-        starts: list[np.ndarray] = []
-        if best_theta is not None:
-            starts.append(_pad_start(best_theta, best_theta.shape[0] // 5, size))
-        if mixture_weights is not None:
-            packed = _mixture_start(size, mixture_weights)
-            if packed is not None:
-                starts.append(packed)
-        starts.append(_product_start(size, target))
-        starts.append(_central_start(size))
-        if size >= 2:
-            starts.extend(_two_point_start(size, target, i) for i in a_settings)
-        for k in range(restarts):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, size, k)))
-            starts.append(rng.random(5 * size))
+            level_theta: np.ndarray | None = None
+            level_value = math.inf
+            for theta0 in starts:
+                theta, value = _pattern_search(theta0, fn)
+                if value < level_value:
+                    level_value = value
+                    level_theta = theta
 
-        level_theta: np.ndarray | None = None
-        level_value = math.inf
-        for theta0 in starts:
-            theta, value = _pattern_search(theta0, fn)
-            if value < level_value:
-                level_value = value
-                level_theta = theta
-
-        # normalize the weight block so zero-padding at the next level is exact
-        p, q, rho = _unpack(level_theta, size)
-        level_theta = level_theta.copy()
-        level_theta[4 * size :] = rho
-        best_theta = level_theta
-        best_value = level_value
+            # normalize the weight block so zero-padding at the next level is exact
+            best_theta = level_theta.copy()
+            best_theta[4 * size :] = _unpack(level_theta, size)[2]
 
     size = grid_size
     p, q, rho = _unpack(best_theta, size)
@@ -755,4 +788,6 @@ def m_separability_search(
         if mask[row, i, j]
     }
     m_hat = max(deviations.values())
-    return SeparabilityResult(m_hat=m_hat, model=model, per_setting_deviations=deviations)
+    return SeparabilityResult(
+        m_hat=m_hat, model=model, per_setting_deviations=deviations, lower_bound=lower_bound
+    )

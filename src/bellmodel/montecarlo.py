@@ -156,7 +156,11 @@ def sample(measure: JointMeasure, n: int, seed: int) -> TrialSeries:
         raise ValueError("n must be at least 1")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    cdf = np.cumsum(measure.probs)
+    probs = measure.probs
+    cdf = np.cumsum(probs)
+    # Rounding can leave cdf[-1] < 1; a uniform at or above it goes to the
+    # last cell that can occur, not to cell 15 when that cell has probability 0.
+    last = int(np.flatnonzero(probs)[-1])
     cells = np.empty(n, dtype=np.int64)
     for chunk in range(0, n, CHUNK):
         count = min(CHUNK, n - chunk)
@@ -164,9 +168,7 @@ def sample(measure: JointMeasure, n: int, seed: int) -> TrialSeries:
             np.random.Philox(key=np.array([seed, chunk // CHUNK], dtype=np.uint64))
         )
         u = gen.random(count)
-        cells[chunk : chunk + count] = np.minimum(
-            np.searchsorted(cdf, u, side="right"), 15
-        )
+        cells[chunk : chunk + count] = np.minimum(np.searchsorted(cdf, u, side="right"), last)
     return TrialSeries(
         x=_CELL_X[cells],
         y=_CELL_Y[cells],

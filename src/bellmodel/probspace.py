@@ -38,6 +38,7 @@ __all__ = [
     "OUTCOME_ORDER",
     "ROW_ORDER",
     "RandomVariable",
+    "STRATEGY_ANSWERS",
     "SettingsDistribution",
     "ZeroProbabilityError",
     "chsh_measure",
@@ -267,6 +268,14 @@ COLUMN_ORDER: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 #: Outcome-pair rows in table layout order.
 ROW_ORDER: tuple[tuple[int, int], ...] = ((1, 1), (-1, 1), (1, -1), (-1, -1))
+
+#: Answers (x0, x1, y0, y1) of the 16 deterministic strategies, shape (16, 4).
+#: Strategy k answers +1 where bit b of k is set (b = 0..3 in that order) and
+#: -1 elsewhere.
+STRATEGY_ANSWERS: np.ndarray = np.array(
+    [[1 if (k >> b) & 1 else -1 for b in range(4)] for k in range(16)], dtype=np.int64
+)
+STRATEGY_ANSWERS.flags.writeable = False
 
 #: Canonical flat order of all 16 points: column-major over the table layout.
 OUTCOME_ORDER: tuple[ChshOutcome, ...] = tuple(

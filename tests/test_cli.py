@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from bellmodel import cli
 from bellmodel.cli import main
 from bellmodel.probspace import chsh_measure
 from bellmodel.singlet import TSIRELSON_ANGLES
@@ -142,6 +143,19 @@ class TestAnalysisCommands:
         assert len(doc["model"]["rho"]) == 8
 
 
+class TestLhvFitCertificate:
+    def test_json_carries_bound_and_gap(self, capsys):
+        doc = run_json(capsys, "lhv-fit", "--format", "json", "--restarts", "0")
+        assert doc["lower_bound"] == pytest.approx(M_LOWER_BOUND, abs=1e-12)
+        assert 0.0 <= doc["gap"] + 1e-12 and doc["gap"] <= 1e-9
+        assert doc["gap"] == doc["m_hat"] - doc["lower_bound"]
+
+    def test_table_output_has_no_certificate_lines(self, capsys):
+        code, out, _ = run(capsys, "lhv-fit", "--grid", "2", "--restarts", "0")
+        assert code == 0
+        assert out.startswith("m_hat: ") and "bound" not in out and "gap" not in out
+
+
 class TestSample:
     def test_csv_deterministic(self, capsys):
         _, first, _ = run(capsys, "sample", "--n", "5000", "--seed", "42")
@@ -233,3 +247,60 @@ class TestUsageErrors:
         code, _, err = run(capsys, "measure", "--settings", "-0.1,0.4,0.4,0.3")
         assert code == 2
         assert "error:" in err
+
+
+def one_error_line(err):
+    lines = [line for line in err.splitlines() if line.strip()]
+    return len(lines) == 1 and lines[0].startswith("error:") and "Traceback" not in err
+
+
+class TestExitCodeContract:
+    """Exit 1 means only "violated under --strict"; every other failure exits 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("factorize", "--grid", "200"),
+            ("factorize", "--grid", "33"),
+            ("factorize", "--restarts", "1001"),
+            ("witness", "--grid", "1000001"),
+            ("lhv-fit", "--grid", "1025"),
+            ("lhv-fit", "--restarts", "1001"),
+            ("sample", "--n", "10000001"),
+            ("sample", "--n", str(10**18)),
+        ],
+    )
+    def test_size_flags_bounded_before_allocation(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert one_error_line(err) and "must be at most" in err
+
+    def test_bound_applies_to_config_values(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid = 200\n")
+        code, _, err = run(capsys, "factorize", "--config", str(cfg))
+        assert code == 2
+        assert one_error_line(err) and "--grid must be at most 32" in err
+
+    def test_bounds_documented_in_help(self, capsys):
+        for argv, text in (
+            (("factorize", "--help"), "at most 32"),
+            (("witness", "--help"), "at most 1000000"),
+            (("lhv-fit", "--help"), "at most 1024"),
+            (("sample", "--help"), "at most 10000000"),
+        ):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert text in " ".join(out.split())
+
+    @pytest.mark.parametrize("exc", [MemoryError(), RuntimeError("solver blew up\nsecond line")])
+    def test_unexpected_failure_exits_2(self, capsys, monkeypatch, exc):
+        def failing(*_args, **_kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "fourier_witness_check", failing)
+        code, out, err = run(capsys, "witness")
+        assert code == 2
+        assert out == ""
+        assert one_error_line(err) and type(exc).__name__ in err

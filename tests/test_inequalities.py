@@ -145,6 +145,15 @@ class TestRealismTable:
         assert max(abs(v) for v in realism_table_check()) == 2
         assert 2 < TSIRELSON_BOUND
 
+    def test_matches_bit_decoding_reference(self):
+        reference = []
+        for k in range(16):
+            x0, x1, y0, y1 = ((1 if (k >> bit) & 1 else -1) for bit in range(4))
+            reference.append(x0 * y0 + x1 * y0 + x1 * y1 - x0 * y1)
+        values = realism_table_check()
+        assert values == reference
+        assert all(type(v) is int for v in values)
+
 
 class TestBellOriginal:
     def test_reference_configuration(self):

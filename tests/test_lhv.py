@@ -2,10 +2,14 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bellmodel import lhv
 from bellmodel.lhv import (
     FourierWitnessReport,
     LHVModel,
@@ -367,3 +371,103 @@ class TestSeparabilitySearch:
         assert doc["m_hat"] == result.m_hat
         assert len(doc["per_setting_deviations"]) == 16
         assert len(doc["model"]["rho"]) == 2
+
+
+def capture_linprog(monkeypatch):
+    """Record every result the mixture LP's solver returns."""
+    results = []
+    solve = lhv.linprog
+
+    def recording(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(lhv, "linprog", recording)
+    return results
+
+
+class TestStrategyTables:
+    def test_deterministic_tables_match_bit_decoding_reference(self):
+        reference = np.zeros((16, 4, 2, 2))
+        for k in range(16):
+            x = tuple(1 if (k >> b) & 1 else -1 for b in (0, 1))
+            y = tuple(1 if (k >> b) & 1 else -1 for b in (2, 3))
+            for row, (xo, yo) in enumerate(ROW_ORDER):
+                for i in (0, 1):
+                    for j in (0, 1):
+                        if x[i] == xo and y[j] == yo:
+                            reference[k, row, i, j] = 1.0
+        np.testing.assert_array_equal(lhv._deterministic_tables(), reference)
+
+    def test_mixture_start_packs_strategies(self):
+        weights = np.zeros(16)
+        weights[[5, 10, 3]] = [0.5, 0.3, 0.2]
+        size = 4
+        p, q, rho = lhv._unpack(lhv._mixture_start(size, weights), size)
+        np.testing.assert_array_equal(rho, [0.5, 0.3, 0.2, 0.0])
+        for slot, k in enumerate((5, 10, 3)):
+            for b in (0, 1):
+                assert p[b, slot] == float((k >> b) & 1)  # X answers +1
+                assert q[b, slot] == 1.0 - float((k >> (2 + b)) & 1)  # Y answers -1
+
+
+class TestExactPath:
+    @pytest.mark.parametrize("grid", [8, 16, 64])
+    def test_returns_lp_optimum_without_search(self, monkeypatch, grid):
+        def no_search(*_args, **_kwargs):
+            raise AssertionError("compass search ran at a grid covering the LP support")
+
+        monkeypatch.setattr(lhv, "_pattern_search", no_search)
+        solved = capture_linprog(monkeypatch)
+        result = m_separability_search(TSIRELSON_ANGLES, grid_size=grid, restarts=8, seed=7)
+        assert len(solved) == 1
+        assert abs(result.m_hat - solved[0].fun) <= 1e-12
+        assert abs(result.lower_bound - solved[0].fun) <= 1e-12
+        assert result.gap <= 1e-9
+        assert result.model.size == grid
+
+    def test_certificate_in_json(self):
+        result = m_separability_search(TSIRELSON_ANGLES, grid_size=2, restarts=0, seed=0)
+        doc = json.loads(json.dumps(result.as_dict()))
+        assert doc["lower_bound"] == result.lower_bound == pytest.approx(M_LOWER_BOUND, abs=1e-12)
+        assert doc["gap"] == result.gap == result.m_hat - result.lower_bound
+
+    def test_below_support_values_pinned(self):
+        """Below the LP support (8 here) the cascade's results stay bit for bit."""
+        values = [
+            m_separability_search(TSIRELSON_ANGLES, grid_size=g, restarts=2, seed=3).m_hat
+            for g in (2, 4)
+        ]
+        assert values == [0.1767766952966369, 0.16000300818111868]
+
+    def test_solver_failure_falls_back_to_search(self, monkeypatch):
+        failed = SimpleNamespace(success=False)
+        monkeypatch.setattr(lhv, "linprog", lambda *_args, **_kwargs: failed)
+        result = m_separability_search(TSIRELSON_ANGLES, grid_size=16, restarts=0, seed=0)
+        assert result.lower_bound is None and result.gap is None
+        assert result.m_hat >= M_LOWER_BOUND - 1e-9
+        doc = result.as_dict()
+        assert doc["lower_bound"] is None and doc["gap"] is None
+
+    @settings(max_examples=6, deadline=None)
+    @given(angles=st.lists(st.floats(0.0, math.pi), min_size=4, max_size=4))
+    # nearly degenerate: HiGHS's vertex misses the bound by 8e-8, more than
+    # the grid-4 search's 2e-8, so the grid-8 fit must polish it
+    @example(angles=[1e-06, 0.0, 1.4375, 0.21875])
+    def test_certificate_and_ladder_property(self, angles):
+        """The dual bound never exceeds m_hat and the grid ladder never rises.
+
+        HiGHS solves to a feasibility tolerance of 1e-7, so neither its vertex
+        nor its duals are exact.  The exact path is taken only when the vertex
+        meets the dual bound within 1e-12, which keeps the ladder monotone;
+        the 1e-12 tolerance here covers what the solver's tolerance leaves in
+        the bound itself, which on this 17-variable LP stays below it.
+        """
+        angles = tuple(DetectorAngle(a) for a in angles)
+        results = [
+            m_separability_search(angles, grid_size=g, restarts=0, seed=0) for g in (1, 2, 4, 8, 16)
+        ]
+        for r in results:
+            assert r.lower_bound <= r.m_hat + 1e-12
+        for coarse, fine in zip(results, results[1:]):
+            assert fine.m_hat <= coarse.m_hat + 1e-12

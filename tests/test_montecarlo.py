@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellmodel.inequalities import chsh_partial
 from bellmodel.montecarlo import (
@@ -25,11 +27,28 @@ from bellmodel.probspace import (
     SettingsDistribution,
     chsh_measure,
 )
-from bellmodel.singlet import TSIRELSON_ANGLES
+from bellmodel.singlet import TSIRELSON_ANGLES, DetectorAngle
 
 SQRT2 = math.sqrt(2.0)
 
 PINNED_SEED = 20260819
+
+
+#: Largest double below 1: the largest uniform the generator can return.
+U_MAX = np.nextafter(1.0, 0.0)
+
+
+def edge_uniforms(monkeypatch, values):
+    """Make every Philox chunk in `sample` return ``values`` (cycled) as its uniforms."""
+
+    class EdgeGenerator:
+        def __init__(self, _bit_generator):
+            pass
+
+        def random(self, count):
+            return np.resize(np.asarray(values, dtype=float), count)
+
+    monkeypatch.setattr(np.random, "Generator", EdgeGenerator)
 
 
 def degenerate_measure():
@@ -79,6 +98,39 @@ class TestSampling:
         m = chsh_measure(TSIRELSON_ANGLES, SettingsDistribution(0.5, 0.5, 0.0, 0.0))
         series = sample(m, 50000, seed=3)
         assert np.all(series.i == 0)
+
+    def test_overflow_uniform_skips_zero_last_cell(self, monkeypatch):
+        """Regression: cumulative sums ending below 1 sent u >= cdf[-1] to
+        cell 15 even when that cell has probability 0."""
+        cells = [0.0625] * 12 + [0.00625, 0.121875, 0.121875, 0.0]
+        m = JointMeasure.from_probabilities(TSIRELSON_ANGLES, SettingsDistribution.uniform(), cells)
+        assert np.cumsum(m.probs)[-1] < 1.0
+        edge_uniforms(monkeypatch, [U_MAX])
+        counts = empirical_measure(sample(m, 100, seed=0)).counts
+        assert counts[15] == 0
+        assert counts[14] == 100
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        angles=st.lists(st.floats(0.0, math.pi), min_size=4, max_size=4),
+        weights=st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]), min_size=4, max_size=4)
+        .filter(lambda w: 0 < w.count(0.0) < 4),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_zero_cells_never_drawn_property(self, angles, weights, seed):
+        total = sum(weights)
+        m = chsh_measure(
+            [DetectorAngle(a) for a in angles],
+            SettingsDistribution(*(w / total for w in weights)),
+        )
+        zero = m.probs == 0.0
+        counts = empirical_measure(sample(m, 2000, seed=seed)).counts
+        assert not np.any(counts[zero])
+        # the extreme uniforms, including any at or above a cdf that ends below 1
+        with pytest.MonkeyPatch.context() as patch:
+            edge_uniforms(patch, [0.0, U_MAX, *np.cumsum(m.probs)[np.cumsum(m.probs) < 1.0]])
+            counts = empirical_measure(sample(m, 64, seed=seed)).counts
+        assert not np.any(counts[zero])
 
     def test_provenance_recorded(self):
         m = chsh_measure(TSIRELSON_ANGLES)
