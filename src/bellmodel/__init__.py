@@ -48,6 +48,7 @@ from .montecarlo import (
     sample,
 )
 from .probspace import (
+    CELL_INDEX,
     COLUMN_ORDER,
     OUTCOME_ORDER,
     ROW_ORDER,

@@ -46,19 +46,6 @@ from .singlet import TSIRELSON_ANGLES, DetectorAngle
 
 __all__ = ["main"]
 
-_CONFIG_KEYS = {
-    "angles",
-    "settings",
-    "format",
-    "seed",
-    "n",
-    "grid",
-    "restarts",
-    "mode",
-    "strict",
-    "degrees",
-}
-
 #: Largest accepted --n: the sampler holds every trial in memory.
 _MAX_N = 10_000_000
 #: Largest accepted --restarts.
@@ -67,6 +54,25 @@ _MAX_RESTARTS = 1000
 #: witness holds a few complex arrays of grid nodes, lhv-fit builds a model
 #: on grid latent points.
 _MAX_GRID = {"factorize": 32, "witness": 1_000_000, "lhv-fit": 1024}
+
+#: A flag without a value; None when absent, so a --config value still applies.
+_SWITCH = {"action": "store_true", "default": None}
+
+#: Shared options in argparse registration order, each with its
+#: ``add_argument`` keywords ("{grid}" in a help text is the subcommand's
+#: --grid bound); also the keys a --config file may set.
+_OPTIONS: dict[str, dict[str, Any]] = {
+    "angles": {"help": "comma-separated detector orientations"},
+    "settings": {"help": "'uniform' or p00,p01,p10,p11"},
+    "format": {"help": "output format"},
+    "seed": {"help": "random seed (unsigned 64-bit)"},
+    "n": {"help": f"number of trials (at most {_MAX_N})"},
+    "grid": {"help": "grid size (at most {grid})"},
+    "restarts": {"help": f"number of random restarts (at most {_MAX_RESTARTS})"},
+    "mode": {"help": "'conditional' or 'partial'"},
+    "strict": {**_SWITCH, "help": "exit 1 if the inequality is violated"},
+    "degrees": {**_SWITCH, "help": "interpret --angles in degrees"},
+}
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -79,7 +85,7 @@ def _load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in _OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
             values[key] = value
     return values
@@ -201,8 +207,9 @@ def _measure_table(measure: JointMeasure) -> str:
     lines.append("settings: " + "  ".join(f"{n}={p:.6f}" for n, p in measure.settings.items()))
     header = ["x", "y"] + [f"a{i}b{j}" for (i, j) in COLUMN_ORDER]
     rows = [header]
+    table = measure.table
     for row, (x, y) in enumerate(ROW_ORDER):
-        cells = [sig17(measure.space.weights[col * 4 + row]) for col in range(4)]
+        cells = [sig17(table[row, i, j]) for (i, j) in COLUMN_ORDER]
         rows.append([f"{x:+d}", f"{y:+d}"] + cells)
     widths = [max(len(r[c]) for r in rows) for c in range(6)]
     for r in rows:
@@ -400,28 +407,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser, command: str, *names: str) -> None:
-    if "angles" in names:
-        sub.add_argument("--angles", help="comma-separated detector orientations")
-    if "settings" in names:
-        sub.add_argument("--settings", help="'uniform' or p00,p01,p10,p11")
-    if "format" in names:
-        sub.add_argument("--format", help="output format")
-    if "seed" in names:
-        sub.add_argument("--seed", help="random seed (unsigned 64-bit)")
-    if "n" in names:
-        sub.add_argument("--n", help=f"number of trials (at most {_MAX_N})")
-    if "grid" in names:
-        sub.add_argument("--grid", help=f"grid size (at most {_MAX_GRID[command]})")
-    if "restarts" in names:
-        sub.add_argument("--restarts", help=f"number of random restarts (at most {_MAX_RESTARTS})")
-    if "mode" in names:
-        sub.add_argument("--mode", help="'conditional' or 'partial'")
-    if "strict" in names:
-        sub.add_argument("--strict", action="store_true", default=None,
-                         help="exit 1 if the inequality is violated")
-    if "degrees" in names:
-        sub.add_argument("--degrees", action="store_true", default=None,
-                         help="interpret --angles in degrees")
+    for name, spec in _OPTIONS.items():
+        if name in names:
+            help_text = spec["help"].format(grid=_MAX_GRID.get(command))
+            sub.add_argument(f"--{name}", **{**spec, "help": help_text})
     sub.add_argument("--config", help="file of 'key = value' defaults")
 
 

@@ -21,7 +21,7 @@ so the identically-oriented pair (a1, b0) must have setting probability 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .probspace import (
     COLUMN_ORDER,
@@ -165,7 +165,7 @@ class BellReport:
             raise ValueError("satisfied flag contradicts lhs vs rhs")
 
     def as_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "satisfied": self.satisfied}
+        return asdict(self)
 
 
 def bell_original(

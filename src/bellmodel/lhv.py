@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import linprog, minimize
@@ -162,29 +162,23 @@ class ProductFit:
         return (self.p_plus_a0, self.p_plus_a1, self.p_plus_b0, self.p_plus_b1)
 
     def as_dict(self) -> dict:
-        return {
-            "p_plus_a0": self.p_plus_a0,
-            "p_plus_a1": self.p_plus_a1,
-            "p_plus_b0": self.p_plus_b0,
-            "p_plus_b1": self.p_plus_b1,
-            "residual": self.residual,
-        }
+        return asdict(self)
 
 
 def _product_residual(params: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Summed squared error of the product table; broadcasts over leading axes.
 
     ``params`` has shape (..., 4) = (u0, u1, v0, v1); ``target`` is the
-    flat 16-cell table in canonical order.
+    16-cell table in (row, i, j) layout, as `JointMeasure.table`.
     """
     u = (params[..., 0], params[..., 1])
     v = (params[..., 2], params[..., 3])
     res = 0.0
-    for col, (i, j) in enumerate(COLUMN_ORDER):
+    for (i, j) in COLUMN_ORDER:
         px = {1: u[i], -1: 1.0 - u[i]}
         py = {1: v[j], -1: 1.0 - v[j]}
         for row, (x, y) in enumerate(ROW_ORDER):
-            res = res + (0.25 * px[x] * py[y] - target[col * 4 + row]) ** 2
+            res = res + (0.25 * px[x] * py[y] - target[row, i, j]) ** 2
     return res
 
 
@@ -204,7 +198,7 @@ def factorizability_fit(
         raise ValueError("grid_points must be at least 2")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    target = measure.probs
+    target = measure.table
 
     axis = np.linspace(0.0, 1.0, grid_points)
     grid = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 4)
@@ -259,14 +253,7 @@ class FourierWitnessReport:
     contradiction: bool
 
     def as_dict(self) -> dict:
-        return {
-            "first_moment_abs": self.first_moment_abs,
-            "second_moment_abs": self.second_moment_abs,
-            "power": self.power,
-            "response_amplitude_max": self.response_amplitude_max,
-            "grid_size": self.grid_size,
-            "contradiction": self.contradiction,
-        }
+        return asdict(self)
 
 
 def fourier_witness_check(grid_size: int = 10000) -> FourierWitnessReport:
@@ -455,7 +442,13 @@ def _conditional_target(
     return target
 
 
+def _pack(p: np.ndarray, q: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Search vector theta = (p, q, raw weights) on ``raw.size`` latent points."""
+    return np.concatenate((p.ravel(), q.ravel(), raw))
+
+
 def _unpack(theta: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of `_pack`, with the weights normalized (uniform if they sum to 0)."""
     p = theta[0 : 2 * size].reshape(2, size)
     q = theta[2 * size : 4 * size].reshape(2, size)
     raw = theta[4 * size :]
@@ -507,25 +500,19 @@ def _pattern_search(
     return theta, value
 
 
-def _central_start(size: int) -> np.ndarray:
-    return np.full(5 * size, 0.5)
-
-
 def _product_start(size: int, target: np.ndarray) -> np.ndarray:
     """Single latent point carrying the target's per-detector marginals.
 
     Exact whenever the target itself factorizes into independent
     per-orientation Bernoulli outcomes.
     """
-    theta = _central_start(size)
-    for i in (0, 1):
-        theta[i * size] = target[0, i, 0] + target[2, i, 0]  # P[X=+1 | a_i, b_0]
-    for j in (0, 1):
-        theta[(2 + j) * size] = target[2, 0, j] + target[3, 0, j]  # P[Y=-1 | a_0, b_j]
+    p = np.full((2, size), 0.5)
+    q = np.full((2, size), 0.5)
+    p[:, 0] = target[0, :, 0] + target[2, :, 0]  # P[X=+1 | a_i, b_0]
+    q[:, 0] = target[2, 0, :] + target[3, 0, :]  # P[Y=-1 | a_0, b_j]
     raw = np.zeros(size)
     raw[0] = 1.0
-    theta[4 * size :] = raw
-    return theta
+    return _pack(p, q, raw)
 
 
 def _two_point_start(size: int, target: np.ndarray, i: int) -> np.ndarray:
@@ -535,7 +522,6 @@ def _two_point_start(size: int, target: np.ndarray, i: int) -> np.ndarray:
     the mirror image.  Choosing c_j = P[x=+1, y=-1 | a_i, b_j] * 2 matches
     every cell of columns (i, 0) and (i, 1).
     """
-    theta = _central_start(size)
     p = np.full((2, size), 0.5)
     q = np.full((2, size), 0.5)
     p[:, 0] = 1.0
@@ -547,10 +533,7 @@ def _two_point_start(size: int, target: np.ndarray, i: int) -> np.ndarray:
     raw = np.zeros(size)
     raw[0] = 0.5
     raw[1] = 0.5
-    theta[0 : 2 * size] = p.ravel()
-    theta[2 * size : 4 * size] = q.ravel()
-    theta[4 * size :] = raw
-    return theta
+    return _pack(p, q, raw)
 
 
 def _deterministic_tables() -> np.ndarray:
@@ -628,7 +611,6 @@ def _mixture_start(size: int, weights: np.ndarray) -> np.ndarray | None:
         return None
     kept = kept / total
 
-    theta = _central_start(size)
     p = np.full((2, size), 0.5)
     q = np.full((2, size), 0.5)
     raw = np.zeros(size)
@@ -636,10 +618,7 @@ def _mixture_start(size: int, weights: np.ndarray) -> np.ndarray | None:
     p[:, : len(keep)] = (answers[:, :2] == 1).T  # X answers +1
     q[:, : len(keep)] = (answers[:, 2:] == -1).T  # Y answers -1
     raw[: len(keep)] = kept
-    theta[0 : 2 * size] = p.ravel()
-    theta[2 * size : 4 * size] = q.ravel()
-    theta[4 * size :] = raw
-    return theta
+    return _pack(p, q, raw)
 
 
 def _pad_start(theta: np.ndarray, old_size: int, new_size: int) -> np.ndarray:
@@ -649,13 +628,12 @@ def _pad_start(theta: np.ndarray, old_size: int, new_size: int) -> np.ndarray:
     the same table.
     """
     p, q, rho = _unpack(theta, old_size)
-    out = _central_start(new_size)
-    for block, values in enumerate((p[0], p[1], q[0], q[1])):
-        out[block * new_size : block * new_size + old_size] = values
-    raw = np.zeros(new_size)
-    raw[:old_size] = rho
-    out[4 * new_size :] = raw
-    return out
+    extra = new_size - old_size
+    return _pack(
+        np.pad(p, ((0, 0), (0, extra)), constant_values=0.5),
+        np.pad(q, ((0, 0), (0, extra)), constant_values=0.5),
+        np.pad(rho, (0, extra)),
+    )
 
 
 def _level_sizes(grid_size: int) -> list[int]:
@@ -715,6 +693,8 @@ def m_separability_search(
         raise ValueError("grid_size must be at least 1")
     if restarts < 0:
         raise ValueError("restarts must be nonnegative")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
     pairs = tuple(setting_pairs) if setting_pairs is not None else COLUMN_ORDER
     if not pairs:
         raise ValueError("setting_pairs must name at least one column")
@@ -753,7 +733,7 @@ def m_separability_search(
                 if packed is not None:
                     starts.append(packed)
             starts.append(_product_start(size, target))
-            starts.append(_central_start(size))
+            starts.append(np.full(5 * size, 0.5))
             if size >= 2:
                 starts.extend(_two_point_start(size, target, i) for i in a_settings)
             for k in range(restarts):
@@ -769,8 +749,7 @@ def m_separability_search(
                     level_theta = theta
 
             # normalize the weight block so zero-padding at the next level is exact
-            best_theta = level_theta.copy()
-            best_theta[4 * size :] = _unpack(level_theta, size)[2]
+            best_theta = _pack(*_unpack(level_theta, size))
 
     size = grid_size
     p, q, rho = _unpack(best_theta, size)

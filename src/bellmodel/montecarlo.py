@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .probspace import OUTCOME_ORDER, JointMeasure
+from .probspace import CELL_INDEX, OUTCOME_ORDER, ChshOutcome, JointMeasure
 
 __all__ = [
     "CHUNK",
@@ -48,19 +48,12 @@ _CELL_Y = np.array([o.y for o in OUTCOME_ORDER], dtype=np.int8)
 _CELL_I = np.array([o.i for o in OUTCOME_ORDER], dtype=np.int8)
 _CELL_J = np.array([o.j for o in OUTCOME_ORDER], dtype=np.int8)
 
-# cell index of (x, y, i, j), inverse of the four arrays above
-_CELL_OF = {(o.x, o.y, o.i, o.j): c for c, o in enumerate(OUTCOME_ORDER)}
-
 
 @dataclass(frozen=True)
-class ExperimentRecord:
-    """One simulated run: trial index n, outcomes x, y, setting indices i, j."""
+class ExperimentRecord(ChshOutcome):
+    """One simulated run: a `ChshOutcome` plus its trial index n."""
 
     n: int
-    x: int
-    y: int
-    i: int
-    j: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,12 +101,8 @@ class TrialSeries:
 
     def cell_indices(self) -> np.ndarray:
         """Canonical 16-cell index of every trial."""
-        # column position of (i, j) in the table layout ((0,0),(1,0),(1,1),(0,1))
-        col_table = np.zeros((2, 2), dtype=np.int64)
-        col_table[0, 0], col_table[1, 0], col_table[1, 1], col_table[0, 1] = 0, 1, 2, 3
-        col = col_table[self.i.astype(np.int64), self.j.astype(np.int64)]
-        row = (self.x < 0) * 1 + (self.y < 0) * 2
-        return col * 4 + row
+        row = (self.x < 0) * 1 + (self.y < 0) * 2  # position of (x, y) in ROW_ORDER
+        return CELL_INDEX[row, self.i, self.j]
 
     def to_csv(self) -> str:
         lines = ["n,x,y,i,j"]
@@ -199,7 +188,7 @@ class EmpiricalMeasure:
         return self.counts / self.n
 
     def count(self, x: int, y: int, i: int, j: int) -> int:
-        return int(self.counts[_CELL_OF[(x, y, i, j)]])
+        return int(self.counts[OUTCOME_ORDER.index(ChshOutcome(x=x, y=y, i=i, j=j))])
 
 
 def empirical_measure(series: TrialSeries) -> EmpiricalMeasure:

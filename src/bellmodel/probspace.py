@@ -30,6 +30,7 @@ import numpy as np
 from .singlet import DetectorAngle, conditional_joint_probs
 
 __all__ = [
+    "CELL_INDEX",
     "COLUMN_ORDER",
     "ChshOutcome",
     "Event",
@@ -282,6 +283,18 @@ OUTCOME_ORDER: tuple[ChshOutcome, ...] = tuple(
     ChshOutcome(x=x, y=y, i=i, j=j) for (i, j) in COLUMN_ORDER for (x, y) in ROW_ORDER
 )
 
+#: Canonical flat index of every point in (row, i, j) layout, shape (4, 2, 2):
+#: ``CELL_INDEX[row, i, j]`` is the position in `OUTCOME_ORDER` of outcome
+#: pair ``ROW_ORDER[row]`` at setting pair (i, j).
+CELL_INDEX: np.ndarray = np.array(
+    [
+        [[OUTCOME_ORDER.index(ChshOutcome(x=x, y=y, i=i, j=j)) for j in (0, 1)] for i in (0, 1)]
+        for (x, y) in ROW_ORDER
+    ],
+    dtype=np.intp,
+)
+CELL_INDEX.flags.writeable = False
+
 _COLUMN_LABELS = tuple(f"a{i}b{j}" for (i, j) in COLUMN_ORDER)
 
 
@@ -315,8 +328,9 @@ class JointMeasure:
         object.__setattr__(self, "angles", tuple(self.angles))
         if self.space.outcomes != OUTCOME_ORDER:
             raise ValueError("the space must enumerate the 16 points in canonical order")
-        for col, (i, j) in enumerate(COLUMN_ORDER):
-            mass = math.fsum(self.space.weights[col * 4 : col * 4 + 4])
+        table = self.table
+        for (i, j) in COLUMN_ORDER:
+            mass = math.fsum(table[:, i, j])
             stated = self.settings.probability(i, j)
             if abs(mass - stated) > _ATOL:
                 raise ValueError(
@@ -349,13 +363,19 @@ class JointMeasure:
         """All 16 weights as an array aligned with `OUTCOME_ORDER`."""
         return np.array(self.space.weights)
 
+    @property
+    def table(self) -> np.ndarray:
+        """The 16 weights laid out as (row, i, j), indexed through `CELL_INDEX`."""
+        return self.probs[CELL_INDEX]
+
     def probability(self, x: int, y: int, i: int, j: int) -> float:
         return self.space.weight(ChshOutcome(x=x, y=y, i=i, j=j))
 
     def column(self, i: int, j: int) -> dict[tuple[int, int], float]:
         """Joint weights p(x, y, i, j) of one setting-pair column."""
-        col = COLUMN_ORDER.index((i, j))
-        return {xy: self.space.weights[col * 4 + row] for row, xy in enumerate(ROW_ORDER)}
+        if (i, j) not in COLUMN_ORDER:
+            raise ValueError(f"setting indices must be 0 or 1, got ({i!r}, {j!r})")
+        return {xy: self.space.weights[CELL_INDEX[row, i, j]] for row, xy in enumerate(ROW_ORDER)}
 
     def conditional_column(self, i: int, j: int) -> dict[tuple[int, int], float]:
         """Outcome distribution p(x, y | i, j); errors if the pair has probability 0."""
@@ -389,8 +409,9 @@ class JointMeasure:
         weights bit-for-bit.
         """
         lines = ["x,y," + ",".join(_COLUMN_LABELS)]
+        table = self.table
         for row, (x, y) in enumerate(ROW_ORDER):
-            cells = [sig17(self.space.weights[col * 4 + row]) for col in range(4)]
+            cells = [sig17(table[row, i, j]) for (i, j) in COLUMN_ORDER]
             lines.append(f"{x},{y}," + ",".join(cells))
         return "\n".join(lines) + "\n"
 

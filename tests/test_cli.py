@@ -304,3 +304,11 @@ class TestExitCodeContract:
         assert code == 2
         assert out == ""
         assert one_error_line(err) and type(exc).__name__ in err
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    @pytest.mark.parametrize("grid", [[], ["--grid", "4"], ["--grid", "4", "--restarts", "0"]])
+    def test_lhv_fit_seed_out_of_range(self, capsys, seed, grid):
+        code, out, err = run(capsys, "lhv-fit", "--seed", seed, *grid)
+        assert code == 2
+        assert out == ""
+        assert one_error_line(err) and "seed must fit in an unsigned 64-bit integer" in err

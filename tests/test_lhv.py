@@ -471,3 +471,41 @@ class TestExactPath:
             assert r.lower_bound <= r.m_hat + 1e-12
         for coarse, fine in zip(results, results[1:]):
             assert fine.m_hat <= coarse.m_hat + 1e-12
+
+
+class TestSearchVector:
+    @given(
+        size=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_unpack_inverts_pack(self, size, data):
+        unit = st.floats(0.0, 1.0)
+        p = np.array(data.draw(st.lists(unit, min_size=2 * size, max_size=2 * size))).reshape(2, size)
+        q = np.array(data.draw(st.lists(unit, min_size=2 * size, max_size=2 * size))).reshape(2, size)
+        raw = np.array(data.draw(st.lists(unit, min_size=size, max_size=size)))
+        theta = lhv._pack(p, q, raw)
+        assert theta.shape == (5 * size,)
+        p2, q2, rho = lhv._unpack(theta, size)
+        np.testing.assert_array_equal(p2, p)
+        np.testing.assert_array_equal(q2, q)
+        if raw.sum() > 0.0:
+            np.testing.assert_array_equal(rho, raw / raw.sum())
+        else:
+            np.testing.assert_array_equal(rho, np.full(size, 1.0 / size))
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("grid, restarts", [(16, 8), (4, 0), (4, 1)])
+    def test_out_of_range_seed_rejected_before_lp(self, monkeypatch, seed, grid, restarts):
+        def no_lp(*_args, **_kwargs):
+            raise AssertionError("the LP ran before the seed was checked")
+
+        monkeypatch.setattr(lhv, "linprog", no_lp)
+        with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
+            m_separability_search(TSIRELSON_ANGLES, grid_size=grid, restarts=restarts, seed=seed)
+
+    def test_extreme_seeds_accepted(self):
+        for seed in (0, 2**64 - 1):
+            result = m_separability_search(TSIRELSON_ANGLES, grid_size=2, restarts=1, seed=seed)
+            assert result.m_hat >= M_LOWER_BOUND - 1e-9

@@ -13,6 +13,7 @@ from bellmodel.montecarlo import (
     CHUNK,
     GENERATOR_ID,
     EmpiricalMeasure,
+    ExperimentRecord,
     TrialSeries,
     chi_square_statistic,
     decode_binary,
@@ -23,6 +24,7 @@ from bellmodel.montecarlo import (
 from bellmodel.probspace import (
     COLUMN_ORDER,
     OUTCOME_ORDER,
+    ChshOutcome,
     JointMeasure,
     SettingsDistribution,
     chsh_measure,
@@ -283,3 +285,36 @@ class TestEstimates:
         series = sample(chsh_measure(TSIRELSON_ANGLES), 10, seed=0)
         with pytest.raises(ValueError):
             empirical_partial_expectation(series, 2, 0)
+
+
+class TestCellLayout:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        trials=st.lists(
+            st.tuples(
+                st.sampled_from([-1, 1]),
+                st.sampled_from([-1, 1]),
+                st.sampled_from([0, 1]),
+                st.sampled_from([0, 1]),
+            ),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    def test_cell_indices_follow_outcome_order(self, trials):
+        x, y, i, j = (np.array(col, dtype=np.int8) for col in zip(*trials))
+        series = TrialSeries(x=x, y=y, i=i, j=j, seed=0, measure_digest="")
+        expected = [OUTCOME_ORDER.index(ChshOutcome(*t)) for t in trials]
+        assert series.cell_indices().tolist() == expected
+
+    def test_count_rejects_invalid_cell(self):
+        emp = empirical_measure(sample(chsh_measure(TSIRELSON_ANGLES), 100, seed=0))
+        with pytest.raises(ValueError):
+            emp.count(0, 1, 0, 0)
+        with pytest.raises(ValueError):
+            emp.count(1, 1, 2, 0)
+
+    def test_record_is_an_outcome(self):
+        rec = sample(degenerate_measure(), 5, seed=0)[4]
+        assert isinstance(rec, ExperimentRecord) and isinstance(rec, ChshOutcome)
+        assert rec.n == 4

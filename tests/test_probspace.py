@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bellmodel.probspace import (
+    CELL_INDEX,
     COLUMN_ORDER,
     OUTCOME_ORDER,
     ROW_ORDER,
@@ -444,3 +445,31 @@ class TestSerialization:
     def test_sig17_round_trip(self):
         for value in (0.1, 1 / 3, SQRT2 / 2, GAMMA_SQ / 8):
             assert float(sig17(value)) == value
+
+
+class TestCellIndex:
+    def test_is_a_read_only_permutation(self):
+        assert CELL_INDEX.shape == (4, 2, 2)
+        assert sorted(CELL_INDEX.ravel().tolist()) == list(range(16))
+        with pytest.raises(ValueError):
+            CELL_INDEX[0, 0, 0] = 1
+
+    def test_column_rejects_bad_setting(self):
+        with pytest.raises(ValueError):
+            chsh_measure(TSIRELSON_ANGLES).column(-1, 0)
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16).filter(lambda w: sum(w) > 0))
+    def test_table_matches_probability(self, raw):
+        total = math.fsum(raw)
+        weights = [w / total for w in raw]
+        settings = SettingsDistribution.from_mapping(
+            {
+                (i, j): math.fsum(w for o, w in zip(OUTCOME_ORDER, weights) if (o.i, o.j) == (i, j))
+                for (i, j) in COLUMN_ORDER
+            }
+        )
+        m = JointMeasure.from_probabilities(TSIRELSON_ANGLES, settings, weights)
+        table = m.table
+        for row, (x, y) in enumerate(ROW_ORDER):
+            for (i, j) in COLUMN_ORDER:
+                assert table[row, i, j] == m.probability(x, y, i, j)

@@ -1,0 +1,58 @@
+"""Pinned SHA-256 digests of CLI stdout: a refactoring that changes one byte
+of these outputs fails here.
+
+`factorize` and `lhv-fit` are left out: their bytes depend on scipy's solvers.
+"""
+
+import hashlib
+
+import pytest
+
+from bellmodel.cli import main
+
+JITTERED = "--angles=0.01,1.6,0.8,-0.75"
+SKEWED = ("--settings", "0.1,0.2,0.3,0.4")
+
+PINNED = [
+    (("measure", "--format", "csv"),
+     "14494d36f739d93065405fa5cab2789142442c4db0bf772a6dc884d85120db48"),
+    (("measure", "--format", "json"),
+     "8be0e14222b2b5519cab08e8d6a85e7abf2384b707a39cf644927380ae9e1990"),
+    (("measure", "--format", "table"),
+     "f51a8e175bdfbca4a4e63369ed2563e97b030cd7644ab2721406acdd6346afff"),
+    (("measure", JITTERED, *SKEWED, "--format", "csv"),
+     "e8cd845b584f1aa9ab2e39c099484f6e9f2fbb618ee5e07beb5ed17c4f447c3b"),
+    (("measure", JITTERED, *SKEWED, "--format", "json"),
+     "9ee91b69da33cb09de624f467a9bad9e0df67f61997b0146664fddeca8ef98f6"),
+    (("measure", JITTERED, *SKEWED, "--format", "table"),
+     "1e6d856e878ea368c6e5b3786e4c126c3f8dfa3fbbd14c6ef4f39389c4e8ddfb"),
+    (("chsh", "--mode", "conditional", "--format", "json"),
+     "41a1caed6e29b3ba7f6d83f8bb9250b2a54fd717278cd4c1e65858e4f717322e"),
+    (("chsh", "--mode", "partial", "--format", "json"),
+     "35470846c0ed736a0999a106618c1bc0fc36d3c396eadfbad2e79e7d49ffbecc"),
+    (("chsh", JITTERED, *SKEWED, "--mode", "partial", "--format", "json"),
+     "32d8f41d0ef0169aced5489f80529d18365dca27b6250f19f8aaddb39d491d36"),
+    (("nosignal", "--format", "json"),
+     "ed1abbe3162285afe33bae7df4ea3f652b2c5a1257226c528d0528ed8ca8539b"),
+    (("nosignal", JITTERED, "--settings", "0.5,0,0.25,0.25", "--format", "json"),
+     "3fa29a7f349741e1b14ce3f98425590753a7d4749b49456cc9d987b0a6613aca"),
+    (("bell", "--format", "json"),
+     "35fb92d354fcfcaf8f2428fe867fa04bf00ffa5f51dd591fdfc06dc7eb4c93ca"),
+    (("witness", "--format", "json"),
+     "c05476905a87c4cf6b667e38568ff1b29e4143d9961d0384210208ea72f47176"),
+    (("sample", "--n", "20000", "--format", "csv"),
+     "f57ffbc3b317bff739b6a726469135c02873c83924f631174d53c091201fb452"),
+    (("sample", "--n", "20000", "--format", "json"),
+     "bde691cd3d6539b4b92ed4eefbb89233c623070cd381c87618f5a88977e1d1de"),
+    (("sample", JITTERED, *SKEWED, "--n", "20000", "--seed", "99", "--format", "csv"),
+     "c7118fd9f95829dc511d32d07e36782c4276cb65a18ce8c5397e98b2b114b2b7"),
+    (("sample", JITTERED, *SKEWED, "--n", "20000", "--seed", "99", "--format", "json"),
+     "4de26b578c9d2594ea7cc3521630d6bd5e9072f970e3020e194d973337e096bf"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED, ids=[" ".join(a) for a, _ in PINNED])
+def test_stdout_digest_pinned(capsys, argv, digest):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
