@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Any, Callable, Sequence
 
@@ -73,6 +74,17 @@ _OPTIONS: dict[str, dict[str, Any]] = {
     "strict": {**_SWITCH, "help": "exit 1 if the inequality is violated"},
     "degrees": {**_SWITCH, "help": "interpret --angles in degrees"},
 }
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """Subcommand parser that reads a value opening with a negative number,
+    as in ``--angles -2.3,1,0.5,0.2``, like ``--angles=-2.3,1,0.5,0.2``:
+    plain argparse takes such a token for an unknown option unless it is a
+    bare number like ``-2.3``."""
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -419,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bellmodel",
         description="Probability model and inequality analysis of the four-setting experiment",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     handlers: dict[str, tuple[Callable[[argparse.Namespace], int], tuple[str, ...], str]] = {
         "measure": (_cmd_measure, ("angles", "settings", "format", "degrees"),

@@ -48,6 +48,9 @@ _CELL_Y = np.array([o.y for o in OUTCOME_ORDER], dtype=np.int8)
 _CELL_I = np.array([o.i for o in OUTCOME_ORDER], dtype=np.int8)
 _CELL_J = np.array([o.j for o in OUTCOME_ORDER], dtype=np.int8)
 
+#: Trial-CSV text after the trial index, per canonical cell: ``",x,y,i,j\n"``.
+_CSV_SUFFIX = tuple(f",{o.x},{o.y},{o.i},{o.j}\n" for o in OUTCOME_ORDER)
+
 
 @dataclass(frozen=True)
 class ExperimentRecord(ChshOutcome):
@@ -60,7 +63,8 @@ class ExperimentRecord(ChshOutcome):
 class TrialSeries:
     """Ordered outcomes of a simulated experiment plus its provenance.
 
-    ``x``/``y`` hold +-1 and ``i``/``j`` hold 0/1, one entry per trial.
+    ``x``/``y`` hold +-1 and ``i``/``j`` hold 0/1, one entry per trial, in
+    integer arrays of any width; other values raise ValueError.
     ``measure_digest`` ties the series to the measure it was drawn from and
     ``generator`` names the sampling algorithm, so a stored series can be
     re-derived and audited.
@@ -80,8 +84,19 @@ class TrialSeries:
             arr = getattr(self, name)
             if arr.ndim != 1 or arr.shape[0] != n:
                 raise ValueError("x, y, i, j must be 1-d arrays of equal length")
+            if not np.issubdtype(arr.dtype, np.integer):
+                raise ValueError(f"{name} must be an integer array, got dtype {arr.dtype}")
         if n == 0:
             raise ValueError("a trial series holds at least one trial")
+        # min/max compare without arithmetic, so no integer width can wrap.
+        for name in ("x", "y"):
+            arr = getattr(self, name)
+            if arr.min() < -1 or arr.max() > 1 or np.count_nonzero(arr) < n:
+                raise ValueError(f"{name} must hold only -1 and +1")
+        for name in ("i", "j"):
+            arr = getattr(self, name)
+            if arr.min() < 0 or arr.max() > 1:
+                raise ValueError(f"{name} must hold only 0 and 1")
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -105,12 +120,14 @@ class TrialSeries:
         return CELL_INDEX[row, self.i, self.j]
 
     def to_csv(self) -> str:
-        lines = ["n,x,y,i,j"]
-        lines.extend(
-            f"{n},{int(self.x[n])},{int(self.y[n])},{int(self.i[n])},{int(self.j[n])}"
-            for n in range(len(self))
-        )
-        return "\n".join(lines) + "\n"
+        """Trial CSV: each row is its index plus one of 16 cell suffixes,
+        joined one `CHUNK` of trials at a time."""
+        cells = self.cell_indices()
+        chunks = ["n,x,y,i,j\n"]
+        for start in range(0, len(self), CHUNK):
+            chunk = cells[start : start + CHUNK].tolist()
+            chunks.append("".join([f"{k}{_CSV_SUFFIX[c]}" for k, c in enumerate(chunk, start)]))
+        return "".join(chunks)
 
     def to_binary(self) -> bytes:
         bits = (

@@ -249,6 +249,50 @@ class TestUsageErrors:
         assert "error:" in err
 
 
+#: Every subcommand that takes --angles, with a negative first angle and
+#: flags that keep the run short.
+NEGATIVE_FIRST_ANGLE = [
+    ("measure", "-2.3,1,0.5,0.2", ("--format", "csv")),
+    ("chsh", "-2.3,1,0.5,0.2", ("--format", "json")),
+    ("bell", "-0.5,0.3,1.2", ("--format", "json")),
+    ("nosignal", "-2.3,1,0.5,0.2", ("--format", "json")),
+    ("factorize", "-2.3,1,0.5,0.2", ("--grid", "3", "--restarts", "1", "--format", "json")),
+    ("lhv-fit", "-2.3,1,0.5,0.2", ("--grid", "2", "--restarts", "0", "--format", "json")),
+    ("sample", "-2.3,1,0.5,0.2", ("--n", "300")),
+]
+
+
+class TestNegativeAngles:
+    """``--angles -2.3,...`` reads like ``--angles=-2.3,...``."""
+
+    @pytest.mark.parametrize("degrees", [(), ("--degrees",)], ids=["radians", "degrees"])
+    @pytest.mark.parametrize(
+        "command, angles, rest", NEGATIVE_FIRST_ANGLE, ids=[c[0] for c in NEGATIVE_FIRST_ANGLE]
+    )
+    def test_space_form_matches_equals_form(self, capsys, command, angles, rest, degrees):
+        joined = run(capsys, command, f"--angles={angles}", *rest, *degrees)
+        spaced = run(capsys, command, "--angles", angles, *rest, *degrees)
+        assert joined[0] == 0, joined[2]
+        assert spaced == joined
+
+    def test_angles_are_used(self, capsys):
+        doc = run_json(capsys, "chsh", "--angles", "-45,0,30,60", "--degrees", "--format", "json")
+        assert doc["angles"]["a0"] == pytest.approx(math.radians(135), abs=1e-15)
+        assert doc["angles"]["b1"] == pytest.approx(math.radians(60), abs=1e-15)
+
+    @pytest.mark.parametrize("angles", ["-2.3,1,0.5", "-.5,1,zero,2"])
+    def test_errors_match_equals_form(self, capsys, angles):
+        joined = run(capsys, "measure", f"--angles={angles}")
+        spaced = run(capsys, "measure", "--angles", angles)
+        assert joined[0] == 2 and one_error_line(joined[2])
+        assert spaced == joined
+
+    def test_missing_value_still_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "measure", "--angles", "--degrees")
+        assert code == 2
+        assert "argument --angles: expected one argument" in err
+
+
 def one_error_line(err):
     lines = [line for line in err.splitlines() if line.strip()]
     return len(lines) == 1 and lines[0].startswith("error:") and "Traceback" not in err

@@ -1,6 +1,7 @@
 """Sampling determinism, serialization layouts, and empirical estimates."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,16 @@ def edge_uniforms(monkeypatch, values):
             return np.resize(np.asarray(values, dtype=float), count)
 
     monkeypatch.setattr(np.random, "Generator", EdgeGenerator)
+
+
+def reference_csv(series):
+    """The trial CSV written row by row from the four columns."""
+    lines = ["n,x,y,i,j"]
+    lines.extend(
+        f"{n},{int(series.x[n])},{int(series.y[n])},{int(series.i[n])},{int(series.j[n])}"
+        for n in range(len(series))
+    )
+    return "\n".join(lines) + "\n"
 
 
 def degenerate_measure():
@@ -148,6 +159,59 @@ class TestSampling:
         assert series[-1].n == 9
         assert len(list(iter(series))) == 10
 
+    @pytest.mark.parametrize(
+        "column, bad",
+        [
+            ("x", np.array([1, 0], dtype=np.int8)),
+            ("x", np.array([1, 2], dtype=np.int8)),
+            ("x", np.array([1, 127], dtype=np.int8)),  # 127 * 127 wraps to 1 in int8
+            ("x", np.array([1, -(2**63)], dtype=np.int64)),
+            ("y", np.array([-1, 0], dtype=np.int8)),
+            ("y", np.array([1, -3], dtype=np.int16)),
+            ("y", np.array([1, 2**64 - 1], dtype=np.uint64)),
+            ("i", np.array([0, 2], dtype=np.int8)),
+            ("i", np.array([1, -1], dtype=np.int8)),
+            ("i", np.array([0, 2**32], dtype=np.int64)),
+            ("j", np.array([0, 2], dtype=np.int8)),
+            ("j", np.array([1, -128], dtype=np.int8)),
+            ("j", np.array([0, 256], dtype=np.uint16)),
+        ],
+    )
+    def test_rejects_out_of_range_values(self, column, bad):
+        columns = {
+            "x": np.array([1, -1], dtype=np.int8),
+            "y": np.array([1, -1], dtype=np.int8),
+            "i": np.array([0, 1], dtype=np.int8),
+            "j": np.array([0, 1], dtype=np.int8),
+        }
+        columns[column] = bad
+        with pytest.raises(ValueError, match=f"^{column} must hold only"):
+            TrialSeries(**columns, seed=0, measure_digest="")
+
+    @pytest.mark.parametrize("column", ["x", "y", "i", "j"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_rejects_non_integer_columns(self, column, dtype):
+        columns = {
+            "x": np.ones(2, dtype=np.int8),
+            "y": np.ones(2, dtype=np.int8),
+            "i": np.ones(2, dtype=np.int8),
+            "j": np.ones(2, dtype=np.int8),
+        }
+        columns[column] = columns[column].astype(dtype)
+        with pytest.raises(ValueError, match=f"^{column} must be an integer array"):
+            TrialSeries(**columns, seed=0, measure_digest="")
+
+    def test_accepts_wide_integer_columns(self):
+        series = TrialSeries(
+            x=np.array([1, -1], dtype=np.int64),
+            y=np.array([-1, 1], dtype=np.int32),
+            i=np.array([0, 1], dtype=np.uint64),
+            j=np.array([1, 0], dtype=np.uint8),
+            seed=0,
+            measure_digest="",
+        )
+        assert series.to_csv() == "n,x,y,i,j\n0,1,-1,0,1\n1,-1,1,1,0\n"
+
     def test_validation(self):
         m = chsh_measure(TSIRELSON_ANGLES)
         with pytest.raises(ValueError):
@@ -162,6 +226,39 @@ class TestSerialization:
     def test_csv_layout(self):
         series = sample(degenerate_measure(), 3, seed=0)
         assert series.to_csv() == "n,x,y,i,j\n0,1,1,0,0\n1,1,1,0,0\n2,1,1,0,0\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        trials=st.lists(
+            st.tuples(
+                st.sampled_from([-1, 1]),
+                st.sampled_from([-1, 1]),
+                st.sampled_from([0, 1]),
+                st.sampled_from([0, 1]),
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_csv_matches_row_formatter(self, trials):
+        x, y, i, j = (np.array(col, dtype=np.int8) for col in zip(*trials))
+        series = TrialSeries(x=x, y=y, i=i, j=j, seed=0, measure_digest="")
+        assert series.to_csv() == reference_csv(series)
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_csv_matches_row_formatter_at_chunk_edges(self, n):
+        series = sample(chsh_measure(TSIRELSON_ANGLES), n, seed=n)
+        assert series.to_csv() == reference_csv(series)
+
+    def test_csv_peak_memory_bounded(self):
+        series = sample(chsh_measure(TSIRELSON_ANGLES), 4 * CHUNK, seed=3)
+        tracemalloc.start()
+        try:
+            text = series.to_csv()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text)
 
     def test_binary_layout(self):
         series = TrialSeries(

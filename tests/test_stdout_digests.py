@@ -48,6 +48,11 @@ PINNED = [
      "c7118fd9f95829dc511d32d07e36782c4276cb65a18ce8c5397e98b2b114b2b7"),
     (("sample", JITTERED, *SKEWED, "--n", "20000", "--seed", "99", "--format", "json"),
      "4de26b578c9d2594ea7cc3521630d6bd5e9072f970e3020e194d973337e096bf"),
+    # 200000 trials cross three CHUNK boundaries of the sampler and the CSV writer.
+    (("sample", "--format", "csv", "--n", "200000"),
+     "b9132eb4ff150fcb27f90d36e4e786fe386c2f2a17144f963528f4efbeea8137"),
+    (("sample", JITTERED, *SKEWED, "--n", "200000", "--seed", "99", "--format", "csv"),
+     "02e9abbb3905ca2e5c1bb6d9138df8fffead8de0c3ebbdc97ef0dca595020481"),
 ]
 
 
