@@ -320,6 +320,8 @@ class LHVModel:
             raise ValueError(f"rho must have shape ({n},), got {rho.shape}")
         if p.shape != (2, n) or q.shape != (2, n):
             raise ValueError(f"responses must have shape (2, {n})")
+        if not all(np.isfinite(arr).all() for arr in (grid, rho, p, q)):
+            raise ValueError("model entries must be finite")
         if np.any(rho < 0.0) or abs(float(rho.sum()) - 1.0) > 1e-9:
             raise ValueError("rho must be a probability distribution")
         for name, arr in (("p_response", p), ("q_response", q)):
@@ -360,16 +362,19 @@ class LHVModel:
 
 
 def _predicted_table(rho: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Predicted conditional probabilities, shape (4 rows, 2, 2) = (row, i, j)."""
+    """Predicted conditional probabilities, shape (..., 4 rows, 2, 2) = (..., row, i, j).
+
+    A ``rho`` of shape (..., 1, size) gives one table per leading index.
+    """
     pr = p * rho
     mr = (1.0 - p) * rho
     qt = q.T
     nt = 1.0 - qt
-    pred = np.empty((4, 2, 2))
-    pred[0] = pr @ nt  # (+1, +1): X answers +1, Y does not answer -1
-    pred[1] = mr @ nt  # (-1, +1)
-    pred[2] = pr @ qt  # (+1, -1)
-    pred[3] = mr @ qt  # (-1, -1)
+    pred = np.empty(pr.shape[:-2] + (4, 2, 2))
+    pred[..., 0, :, :] = pr @ nt  # (+1, +1): X answers +1, Y does not answer -1
+    pred[..., 1, :, :] = mr @ nt  # (-1, +1)
+    pred[..., 2, :, :] = pr @ qt  # (+1, -1)
+    pred[..., 3, :, :] = mr @ qt  # (-1, -1)
     return pred
 
 
@@ -463,23 +468,19 @@ def _objective(theta: np.ndarray, size: int, target: np.ndarray, mask: np.ndarra
     return float(np.max(np.abs(pred - target)[mask]))
 
 
-def _pattern_search(
-    theta: np.ndarray,
-    fn,
-    step: float = 0.1,
-    min_step: float = 1e-6,
-    max_sweeps: int = 2000,
-) -> tuple[np.ndarray, float]:
+def _pattern_search(theta: np.ndarray, fn) -> tuple[np.ndarray, float]:
     """Compass search with coordinate moves clamped to [0, 1].
 
     A sweep tries +-step on every coordinate, keeping strict improvements;
-    the step halves after a sweep with no improvement.  The objective never
+    the step starts at 0.1 and halves after a sweep with no improvement,
+    until it drops below 1e-6 or 2000 sweeps have run.  The objective never
     increases, so a start that is already optimal is returned unchanged.
     """
     theta = theta.copy()
     value = fn(theta)
+    step = 0.1
     sweeps = 0
-    while step >= min_step and sweeps < max_sweeps:
+    while step >= 1e-6 and sweeps < 2000:
         sweeps += 1
         improved = False
         for k in range(len(theta)):
@@ -500,19 +501,39 @@ def _pattern_search(
     return theta, value
 
 
+#: Responses of the 16 deterministic strategies, shape (2, 16): column k
+#: holds strategy k's P[X = +1 | a_i] and P[Y = -1 | b_j], each 0 or 1.
+# Built in Python: a numpy integer cast here adds ~0.25 MB RSS to every command.
+_STRATEGY_P = np.array([[float(a == 1) for a in x] for x in STRATEGY_ANSWERS.T[:2].tolist()])
+_STRATEGY_Q = np.array([[float(a == -1) for a in y] for y in STRATEGY_ANSWERS.T[2:].tolist()])
+_STRATEGY_P.flags.writeable = False
+_STRATEGY_Q.flags.writeable = False
+
+
+def _place(size: int, p: np.ndarray, q: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Search vector with ``weights.size`` latent points first, padded to ``size``.
+
+    ``p`` and ``q`` hold the responses of those points, shape (2, k).  The
+    padding points answer 0.5 and carry weight 0, so the padded model
+    predicts exactly the same table.
+    """
+    extra = size - weights.size
+    return _pack(
+        np.pad(p, ((0, 0), (0, extra)), constant_values=0.5),
+        np.pad(q, ((0, 0), (0, extra)), constant_values=0.5),
+        np.pad(weights, (0, extra)),
+    )
+
+
 def _product_start(size: int, target: np.ndarray) -> np.ndarray:
     """Single latent point carrying the target's per-detector marginals.
 
     Exact whenever the target itself factorizes into independent
     per-orientation Bernoulli outcomes.
     """
-    p = np.full((2, size), 0.5)
-    q = np.full((2, size), 0.5)
-    p[:, 0] = target[0, :, 0] + target[2, :, 0]  # P[X=+1 | a_i, b_0]
-    q[:, 0] = target[2, 0, :] + target[3, 0, :]  # P[Y=-1 | a_0, b_j]
-    raw = np.zeros(size)
-    raw[0] = 1.0
-    return _pack(p, q, raw)
+    p = target[0, :, 0] + target[2, :, 0]  # P[X=+1 | a_i, b_0]
+    q = target[2, 0, :] + target[3, 0, :]  # P[Y=-1 | a_0, b_j]
+    return _place(size, p[:, None], q[:, None], np.ones(1))
 
 
 def _two_point_start(size: int, target: np.ndarray, i: int) -> np.ndarray:
@@ -522,18 +543,9 @@ def _two_point_start(size: int, target: np.ndarray, i: int) -> np.ndarray:
     the mirror image.  Choosing c_j = P[x=+1, y=-1 | a_i, b_j] * 2 matches
     every cell of columns (i, 0) and (i, 1).
     """
-    p = np.full((2, size), 0.5)
-    q = np.full((2, size), 0.5)
-    p[:, 0] = 1.0
-    p[:, 1] = 0.0
-    for j in (0, 1):
-        c = min(1.0, max(0.0, 2.0 * target[2, i, j]))
-        q[j, 0] = c
-        q[j, 1] = 1.0 - c
-    raw = np.zeros(size)
-    raw[0] = 0.5
-    raw[1] = 0.5
-    return _pack(p, q, raw)
+    c = np.array([min(1.0, max(0.0, 2.0 * target[2, i, j])) for j in (0, 1)])
+    p = np.array([[1.0, 0.0], [1.0, 0.0]])
+    return _place(size, p, np.stack((c, 1.0 - c), axis=1), np.full(2, 0.5))
 
 
 def _deterministic_tables() -> np.ndarray:
@@ -543,11 +555,7 @@ def _deterministic_tables() -> np.ndarray:
     `STRATEGY_ANSWERS`.  Every local model's prediction is a convex mixture
     of these tables.
     """
-    x = STRATEGY_ANSWERS[:, None, :2, None]  # (strategy, row, i, j)
-    y = STRATEGY_ANSWERS[:, None, None, 2:]
-    rows = np.array(ROW_ORDER)
-    hit = (x == rows[None, :, 0, None, None]) & (y == rows[None, :, 1, None, None])
-    return hit.astype(float)
+    return _predicted_table(np.eye(16)[:, None, :], _STRATEGY_P, _STRATEGY_Q)
 
 
 def _solve_mixture_lp(target: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, float] | None:
@@ -559,22 +567,14 @@ def _solve_mixture_lp(target: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray,
     deterministic tables.  Returns the weights and the dual objective, a
     lower bound on that minimum, or None if the solver fails.
     """
-    tables = _deterministic_tables()
-    cells = np.argwhere(mask)
-    n_cells = len(cells)
+    columns = _deterministic_tables()[:, mask].T  # one row per compared cell
+    values = target[mask]
     cost = np.zeros(17)
     cost[16] = 1.0
-    a_ub = np.zeros((2 * n_cells, 17))
-    b_ub = np.zeros(2 * n_cells)
-    for m, (row, i, j) in enumerate(cells):
-        column = tables[:, row, i, j]
-        value = target[row, i, j]
-        a_ub[2 * m, :16] = column
-        a_ub[2 * m, 16] = -1.0
-        b_ub[2 * m] = value
-        a_ub[2 * m + 1, :16] = -column
-        a_ub[2 * m + 1, 16] = -1.0
-        b_ub[2 * m + 1] = -value
+    # interleaved pairs: table - m <= target and -table - m <= -target
+    a_ub = np.full((2 * len(values), 17), -1.0)
+    a_ub[:, :16] = np.stack((columns, -columns), axis=1).reshape(-1, 16)
+    b_ub = np.stack((values, -values), axis=1).ravel()
     a_eq = np.zeros((1, 17))
     a_eq[0, :16] = 1.0
     out = linprog(
@@ -597,54 +597,16 @@ def _solve_mixture_lp(target: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray,
     return np.clip(out.x[:16], 0.0, 1.0), lower_bound
 
 
-def _mixture_start(size: int, weights: np.ndarray) -> np.ndarray | None:
+def _mixture_start(size: int, weights: np.ndarray) -> np.ndarray:
     """Pack LP mixture weights as a search start on ``size`` latent points.
 
     With at least as many latent points as the support of the mixture the
     start already achieves the LP optimum; smaller grids keep the heaviest
     strategies, renormalized.
     """
-    keep = np.argsort(weights)[::-1][: min(16, size)]
+    keep = np.argsort(weights)[::-1][:size]
     kept = weights[keep]
-    total = float(kept.sum())
-    if total <= 0.0:
-        return None
-    kept = kept / total
-
-    p = np.full((2, size), 0.5)
-    q = np.full((2, size), 0.5)
-    raw = np.zeros(size)
-    answers = STRATEGY_ANSWERS[keep]
-    p[:, : len(keep)] = (answers[:, :2] == 1).T  # X answers +1
-    q[:, : len(keep)] = (answers[:, 2:] == -1).T  # Y answers -1
-    raw[: len(keep)] = kept
-    return _pack(p, q, raw)
-
-
-def _pad_start(theta: np.ndarray, old_size: int, new_size: int) -> np.ndarray:
-    """Embed a solution on a smaller latent grid by adding zero-weight points.
-
-    The extra points carry weight 0, so the padded model predicts exactly
-    the same table.
-    """
-    p, q, rho = _unpack(theta, old_size)
-    extra = new_size - old_size
-    return _pack(
-        np.pad(p, ((0, 0), (0, extra)), constant_values=0.5),
-        np.pad(q, ((0, 0), (0, extra)), constant_values=0.5),
-        np.pad(rho, (0, extra)),
-    )
-
-
-def _level_sizes(grid_size: int) -> list[int]:
-    sizes = []
-    s = grid_size
-    while True:
-        sizes.append(s)
-        if s <= 1:
-            break
-        s //= 2
-    return sizes[::-1]
+    return _place(size, _STRATEGY_P[:, keep], _STRATEGY_Q[:, keep], kept / float(kept.sum()))
 
 
 def m_separability_search(
@@ -672,11 +634,12 @@ def m_separability_search(
       also runs if the LP solver fails, or if its vertex misses the
       certificate by more than 1e-12 (HiGHS's feasibility tolerance is 1e-7,
       which can matter on nearly degenerate tables).  A coarse-to-fine
-      cascade over latent grid sizes (doubling up to ``grid_size``) runs
+      cascade over latent grid sizes (``grid_size`` halved with floor
+      division down to 1, searched from 1 up: 12 gives 1, 3, 6, 12) runs
       compass search at each level from structured starts, ``restarts``
       seeded random starts, and the previous level's best embedded with
-      zero-weight padding, so enlarging the grid from k to 2k can never give
-      a worse ``m_hat``.
+      zero-weight padding, so no level gives a worse ``m_hat`` than the
+      level below it.
 
     The result's ``lower_bound`` is the LP's dual objective, a certificate
     that no local model on any grid does better; ``gap`` is how far
@@ -723,15 +686,13 @@ def m_separability_search(
             best_theta = packed
     if best_theta is None:
         a_settings = sorted({i for (i, _j) in pairs})
-        for size in _level_sizes(grid_size):
+        for size in [grid_size >> k for k in range(int(grid_size).bit_length())][::-1]:
             fn = lambda t: _objective(t, size, target, mask)  # noqa: E731
             starts: list[np.ndarray] = []
             if best_theta is not None:
-                starts.append(_pad_start(best_theta, best_theta.shape[0] // 5, size))
+                starts.append(_place(size, *_unpack(best_theta, best_theta.shape[0] // 5)))
             if mixture_weights is not None:
-                packed = _mixture_start(size, mixture_weights)
-                if packed is not None:
-                    starts.append(packed)
+                starts.append(_mixture_start(size, mixture_weights))
             starts.append(_product_start(size, target))
             starts.append(np.full(5 * size, 0.5))
             if size >= 2:
@@ -740,21 +701,14 @@ def m_separability_search(
                 rng = np.random.default_rng(np.random.SeedSequence((seed, size, k)))
                 starts.append(rng.random(5 * size))
 
-            level_theta: np.ndarray | None = None
-            level_value = math.inf
-            for theta0 in starts:
-                theta, value = _pattern_search(theta0, fn)
-                if value < level_value:
-                    level_value = value
-                    level_theta = theta
-
+            # the first start reaching the lowest value wins
+            level_theta, _ = min((_pattern_search(t, fn) for t in starts), key=lambda r: r[1])
             # normalize the weight block so zero-padding at the next level is exact
             best_theta = _pack(*_unpack(level_theta, size))
 
-    size = grid_size
-    p, q, rho = _unpack(best_theta, size)
+    p, q, rho = _unpack(best_theta, grid_size)
     model = LHVModel(
-        lambda_grid=(np.arange(size) + 0.5) / size,
+        lambda_grid=(np.arange(grid_size) + 0.5) / grid_size,
         rho=rho,
         p_response=p,
         q_response=q,

@@ -196,6 +196,10 @@ class EmpiricalMeasure:
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.shape != (16,):
             raise ValueError("counts must have one entry per canonical cell")
+        if self.n < 1:
+            raise ValueError("an empirical measure needs at least one trial")
+        if np.any(counts < 0):
+            raise ValueError("counts must be nonnegative")
         if int(counts.sum()) != self.n:
             raise ValueError("counts must sum to the number of trials")
         object.__setattr__(self, "counts", counts)

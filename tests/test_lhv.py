@@ -277,6 +277,30 @@ class TestLHVModel:
                 q_response=np.array([[0.5], [0.5]]),
             )
 
+    @staticmethod
+    def one_point_doc(field, bad):
+        """A valid one-point model's fields, with the first entry of ``field`` set to ``bad``."""
+        doc = {"lambda_grid": [0.5], "rho": [1.0], "p_response": [[0.5], [0.5]],
+               "q_response": [[0.5], [0.5]]}
+        arr = np.array(doc[field], dtype=float)
+        arr.flat[0] = bad
+        doc[field] = arr.tolist()
+        return doc
+
+    @pytest.mark.parametrize("field", ["lambda_grid", "rho", "p_response", "q_response"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, field, bad):
+        doc = {k: np.array(v) for k, v in self.one_point_doc(field, bad).items()}
+        with pytest.raises(ValueError, match="finite"):
+            LHVModel(**doc)
+
+    @pytest.mark.parametrize("field", ["lambda_grid", "rho", "p_response", "q_response"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_json_rejected(self, field, bad):
+        text = json.dumps(self.one_point_doc(field, bad))  # NaN / Infinity / -Infinity tokens
+        with pytest.raises(ValueError, match="finite"):
+            LHVModel.from_json(text)
+
     def test_json_round_trip(self):
         model = self.fair_coins(size=3)
         clone = LHVModel.from_json(model.to_json())
@@ -432,13 +456,46 @@ class TestExactPath:
         assert doc["lower_bound"] == result.lower_bound == pytest.approx(M_LOWER_BOUND, abs=1e-12)
         assert doc["gap"] == result.gap == result.m_hat - result.lower_bound
 
-    def test_below_support_values_pinned(self):
-        """Below the LP support (8 here) the cascade's results stay bit for bit."""
-        values = [
-            m_separability_search(TSIRELSON_ANGLES, grid_size=g, restarts=2, seed=3).m_hat
-            for g in (2, 4)
-        ]
-        assert values == [0.1767766952966369, 0.16000300818111868]
+    @pytest.mark.parametrize(
+        "angles, kwargs, m_hat",
+        [
+            pytest.param(TSIRELSON_ANGLES, dict(grid_size=2, restarts=2, seed=3),
+                         0.1767766952966369, id="tsirelson-grid2"),
+            pytest.param(TSIRELSON_ANGLES, dict(grid_size=4, restarts=2, seed=3),
+                         0.16000300818111868, id="tsirelson-grid4"),
+            pytest.param(TSIRELSON_ANGLES, dict(grid_size=1, restarts=0, seed=0),
+                         0.1767766952966369, id="grid1"),
+            # levels 1, 3: the ladder halves with floor division
+            pytest.param(TSIRELSON_ANGLES, dict(grid_size=3, restarts=1, seed=5),
+                         0.1767766952966369, id="grid3"),
+            # a seeded random start wins the grid-3 level
+            pytest.param(TSIRELSON_ANGLES, dict(grid_size=3, restarts=3, seed=11),
+                         0.1758465191782561, id="grid3-restarts3"),
+            pytest.param(TSIRELSON_ANGLES,
+                         dict(grid_size=2, restarts=1, seed=2,
+                              setting_pairs=((0, 0), (0, 1), (1, 0))),
+                         4.163336342344337e-17, id="setting-pairs"),
+            pytest.param(TSIRELSON_ANGLES,
+                         dict(grid_size=2, restarts=1, seed=4, restrict_outcome=(1, -1)),
+                         0.007300858219767795, id="restrict-outcome"),
+            # the LP vertex misses the dual bound, so the search polishes it
+            pytest.param(tuple(DetectorAngle(a) for a in (1e-6, 0.0, 1.4375, 0.21875)),
+                         dict(grid_size=8, restarts=0, seed=0),
+                         1.347574368759652e-08, id="degenerate-grid8"),
+        ],
+    )
+    def test_below_support_values_pinned(self, monkeypatch, angles, kwargs, m_hat):
+        """Wherever the compass search runs, its results stay bit for bit."""
+        searches = []
+        search = lhv._pattern_search
+
+        def counting(*args, **kw):
+            searches.append(None)
+            return search(*args, **kw)
+
+        monkeypatch.setattr(lhv, "_pattern_search", counting)
+        assert m_separability_search(angles, **kwargs).m_hat == m_hat
+        assert searches
 
     def test_solver_failure_falls_back_to_search(self, monkeypatch):
         failed = SimpleNamespace(success=False)

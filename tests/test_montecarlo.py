@@ -305,6 +305,16 @@ class TestEmpiricalMeasure:
         with pytest.raises(ValueError):
             EmpiricalMeasure(counts=np.ones(16, dtype=np.int64), n=10)
 
+    def test_negative_count_rejected(self):
+        counts = np.zeros(16, dtype=np.int64)
+        counts[:2] = [-1, 2]  # sums to n = 1
+        with pytest.raises(ValueError, match="nonnegative"):
+            EmpiricalMeasure(counts=counts, n=1)
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="at least one trial"):
+            EmpiricalMeasure(counts=np.zeros(16, dtype=np.int64), n=0)
+
     def test_chi_square_infinite_on_impossible_cell(self):
         m = chsh_measure(TSIRELSON_ANGLES, SettingsDistribution(0.5, 0.5, 0.0, 0.0))
         counts = np.zeros(16, dtype=np.int64)
