@@ -40,7 +40,7 @@ empirical = empirical_measure(series)
 exact = chsh_partial(measure).term_values
 print("partial expectations, estimated vs exact:")
 for (i, j), term in zip(COLUMN_ORDER, exact):
-    estimate = empirical_partial_expectation(series, i, j)
+    estimate = empirical_partial_expectation(empirical, i, j)
     print(f"  a{i}b{j}: {estimate:+.6f} vs {term:+.6f}  (diff {abs(estimate - term):.6f})")
 print()
 

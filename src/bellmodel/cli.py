@@ -387,6 +387,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         _emit(series.to_csv())
         return 0
     empirical = empirical_measure(series)
+    partials = {
+        f"a{i}b{j}": empirical_partial_expectation(empirical, i, j) for (i, j) in COLUMN_ORDER
+    }
     if fmt == "json":
         doc = {
             "seed": seed,
@@ -395,18 +398,12 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "measure_digest": series.measure_digest,
             "counts": [int(c) for c in empirical.counts],
             "frequencies": [float(f) for f in empirical.frequencies],
-            "partial_expectations": {
-                f"a{i}b{j}": empirical_partial_expectation(series, i, j)
-                for (i, j) in COLUMN_ORDER
-            },
+            "partial_expectations": partials,
         }
         _emit_json(doc)
     else:
         lines = [f"n: {n}", f"seed: {seed}", f"generator: {series.generator}"]
-        for (i, j) in COLUMN_ORDER:
-            lines.append(
-                f"partial E a{i}b{j}: {sig17(empirical_partial_expectation(series, i, j))}"
-            )
+        lines += [f"partial E {label}: {sig17(value)}" for label, value in partials.items()]
         counts = " ".join(str(int(c)) for c in empirical.counts)
         lines.append(f"counts: {counts}")
         _emit("\n".join(lines))

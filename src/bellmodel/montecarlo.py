@@ -6,6 +6,9 @@ the counter-based Philox generator, in fixed-size chunks keyed by
 therefore reproducible across runs and platforms, and extending a series
 keeps its prefix: trial k never depends on how many trials follow it.
 
+A `TrialSeries` stores each trial only as its ``uint8`` cell index (position
+in `OUTCOME_ORDER`); its columns, counts and both layouts are lookups on it.
+
 Serialized layouts (both byte-exact):
 
 * CSV: header ``n,x,y,i,j`` then one line per trial with the 0-based trial
@@ -22,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .probspace import CELL_INDEX, OUTCOME_ORDER, ChshOutcome, JointMeasure
+from .probspace import CELL_INDEX, OUTCOME_ORDER, ROW_ORDER, ChshOutcome, JointMeasure
 
 __all__ = [
     "CHUNK",
@@ -51,6 +54,11 @@ _CELL_J = np.array([o.j for o in OUTCOME_ORDER], dtype=np.int8)
 #: Trial-CSV text after the trial index, per canonical cell: ``",x,y,i,j\n"``.
 _CSV_SUFFIX = tuple(f",{o.x},{o.y},{o.i},{o.j}\n" for o in OUTCOME_ORDER)
 
+#: Binary record byte per canonical cell, and its inverse (16: a high bit is set).
+_BYTES = [(o.x > 0) | (o.y > 0) << 1 | o.i << 2 | o.j << 3 for o in OUTCOME_ORDER]
+_BYTE_OF_CELL = np.array(_BYTES, dtype=np.uint8)
+_CELL_OF_BYTE = np.array([_BYTES.index(b) if b < 16 else 16 for b in range(256)], dtype=np.uint8)
+
 
 @dataclass(frozen=True)
 class ExperimentRecord(ChshOutcome):
@@ -63,25 +71,37 @@ class ExperimentRecord(ChshOutcome):
 class TrialSeries:
     """Ordered outcomes of a simulated experiment plus its provenance.
 
-    ``x``/``y`` hold +-1 and ``i``/``j`` hold 0/1, one entry per trial, in
-    integer arrays of any width; other values raise ValueError.
+    ``cells`` holds each trial's position in `OUTCOME_ORDER` as ``uint8``
+    (an integer array of any width is accepted; values outside 0-15 raise
+    ValueError); the int8 columns x, y (+-1) and i, j (0/1) derive from it.
     ``measure_digest`` ties the series to the measure it was drawn from and
     ``generator`` names the sampling algorithm, so a stored series can be
     re-derived and audited.
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
+    cells: np.ndarray
     seed: int
     measure_digest: str
     generator: str = GENERATOR_ID
 
     def __post_init__(self) -> None:
-        n = self.x.shape[0]
-        for name in ("x", "y", "i", "j"):
-            arr = getattr(self, name)
+        cells = np.asarray(self.cells)
+        if cells.ndim != 1 or cells.size == 0 or not np.issubdtype(cells.dtype, np.integer):
+            raise ValueError(f"cells must be a non-empty 1-d integer array, got {cells.dtype}")
+        # min/max compare without arithmetic, so no integer width can wrap.
+        if cells.min() < 0 or cells.max() > 15:
+            raise ValueError("cells must hold only canonical cell indices 0-15")
+        object.__setattr__(self, "cells", cells.astype(np.uint8, copy=False))
+
+    @classmethod
+    def from_columns(
+        cls, x: np.ndarray, y: np.ndarray, i: np.ndarray, j: np.ndarray,
+        seed: int, measure_digest: str,
+    ) -> TrialSeries:
+        """Series from recorded x, y (+-1) and i, j (0/1) columns of any
+        integer width; other values raise ValueError."""
+        n = x.shape[0]
+        for name, arr in (("x", x), ("y", y), ("i", i), ("j", j)):
             if arr.ndim != 1 or arr.shape[0] != n:
                 raise ValueError("x, y, i, j must be 1-d arrays of equal length")
             if not np.issubdtype(arr.dtype, np.integer):
@@ -89,66 +109,50 @@ class TrialSeries:
         if n == 0:
             raise ValueError("a trial series holds at least one trial")
         # min/max compare without arithmetic, so no integer width can wrap.
-        for name in ("x", "y"):
-            arr = getattr(self, name)
+        for name, arr in (("x", x), ("y", y)):
             if arr.min() < -1 or arr.max() > 1 or np.count_nonzero(arr) < n:
                 raise ValueError(f"{name} must hold only -1 and +1")
-        for name in ("i", "j"):
-            arr = getattr(self, name)
+        for name, arr in (("i", i), ("j", j)):
             if arr.min() < 0 or arr.max() > 1:
                 raise ValueError(f"{name} must hold only 0 and 1")
+        row = (x < 0) * 1 + (y < 0) * 2  # position of (x, y) in ROW_ORDER
+        return cls(CELL_INDEX[row, i, j], seed, measure_digest)
+
+    x = property(lambda self: _CELL_X[self.cells])
+    y = property(lambda self: _CELL_Y[self.cells])
+    i = property(lambda self: _CELL_I[self.cells])
+    j = property(lambda self: _CELL_J[self.cells])
 
     def __len__(self) -> int:
-        return self.x.shape[0]
+        return self.cells.shape[0]
 
     def __getitem__(self, n: int) -> ExperimentRecord:
-        return ExperimentRecord(
-            n=int(range(len(self))[n]),
-            x=int(self.x[n]),
-            y=int(self.y[n]),
-            i=int(self.i[n]),
-            j=int(self.j[n]),
-        )
+        index = range(len(self))[n]
+        return ExperimentRecord(**vars(OUTCOME_ORDER[self.cells[index]]), n=index)
 
     def __iter__(self) -> Iterator[ExperimentRecord]:
         for n in range(len(self)):
             yield self[n]
 
-    def cell_indices(self) -> np.ndarray:
-        """Canonical 16-cell index of every trial."""
-        row = (self.x < 0) * 1 + (self.y < 0) * 2  # position of (x, y) in ROW_ORDER
-        return CELL_INDEX[row, self.i, self.j]
-
     def to_csv(self) -> str:
         """Trial CSV: each row is its index plus one of 16 cell suffixes,
         joined one `CHUNK` of trials at a time."""
-        cells = self.cell_indices()
         chunks = ["n,x,y,i,j\n"]
         for start in range(0, len(self), CHUNK):
-            chunk = cells[start : start + CHUNK].tolist()
+            chunk = self.cells[start : start + CHUNK].tolist()
             chunks.append("".join([f"{k}{_CSV_SUFFIX[c]}" for k, c in enumerate(chunk, start)]))
         return "".join(chunks)
 
     def to_binary(self) -> bytes:
-        bits = (
-            (self.x > 0).astype(np.uint8)
-            | ((self.y > 0).astype(np.uint8) << 1)
-            | (self.i.astype(np.uint8) << 2)
-            | (self.j.astype(np.uint8) << 3)
-        )
-        return bits.tobytes()
+        return _BYTE_OF_CELL[self.cells].tobytes()
 
 
 def decode_binary(blob: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Invert `TrialSeries.to_binary`: returns the (x, y, i, j) arrays."""
-    bits = np.frombuffer(blob, dtype=np.uint8)
-    if bits.size and int(bits.max()) > 0b1111:
+    cells = _CELL_OF_BYTE[np.frombuffer(blob, dtype=np.uint8)]
+    if cells.size and int(cells.max()) > 15:
         raise ValueError("invalid record byte: bits 4-7 must be 0")
-    x = np.where(bits & 1, 1, -1).astype(np.int8)
-    y = np.where(bits & 2, 1, -1).astype(np.int8)
-    i = ((bits >> 2) & 1).astype(np.int8)
-    j = ((bits >> 3) & 1).astype(np.int8)
-    return x, y, i, j
+    return _CELL_X[cells], _CELL_Y[cells], _CELL_I[cells], _CELL_J[cells]
 
 
 def sample(measure: JointMeasure, n: int, seed: int) -> TrialSeries:
@@ -167,7 +171,7 @@ def sample(measure: JointMeasure, n: int, seed: int) -> TrialSeries:
     # Rounding can leave cdf[-1] < 1; a uniform at or above it goes to the
     # last cell that can occur, not to cell 15 when that cell has probability 0.
     last = int(np.flatnonzero(probs)[-1])
-    cells = np.empty(n, dtype=np.int64)
+    cells = np.empty(n, dtype=np.uint8)
     for chunk in range(0, n, CHUNK):
         count = min(CHUNK, n - chunk)
         gen = np.random.Generator(
@@ -175,14 +179,7 @@ def sample(measure: JointMeasure, n: int, seed: int) -> TrialSeries:
         )
         u = gen.random(count)
         cells[chunk : chunk + count] = np.minimum(np.searchsorted(cdf, u, side="right"), last)
-    return TrialSeries(
-        x=_CELL_X[cells],
-        y=_CELL_Y[cells],
-        i=_CELL_I[cells],
-        j=_CELL_J[cells],
-        seed=seed,
-        measure_digest=measure.digest(),
-    )
+    return TrialSeries(cells=cells, seed=seed, measure_digest=measure.digest())
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,9 +190,10 @@ class EmpiricalMeasure:
     n: int
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (16,):
-            raise ValueError("counts must have one entry per canonical cell")
+        counts = np.asarray(self.counts)
+        if counts.shape != (16,) or not np.issubdtype(counts.dtype, np.integer):
+            raise ValueError("counts must be 16 integers, one per canonical cell")
+        counts = counts.astype(np.int64)  # a uint64 count past int64 turns negative below
         if self.n < 1:
             raise ValueError("an empirical measure needs at least one trial")
         if np.any(counts < 0):
@@ -213,21 +211,24 @@ class EmpiricalMeasure:
 
 
 def empirical_measure(series: TrialSeries) -> EmpiricalMeasure:
-    counts = np.bincount(series.cell_indices(), minlength=16)
+    """Cell counts of a series, added up one `CHUNK` of trials at a time."""
+    counts = np.zeros(16, dtype=np.int64)
+    for start in range(0, len(series), CHUNK):
+        counts += np.bincount(series.cells[start : start + CHUNK], minlength=16)
     return EmpiricalMeasure(counts=counts, n=len(series))
 
 
-def empirical_partial_expectation(series: TrialSeries, i: int, j: int) -> float:
-    """Empirical E_{a_i, b_j}[XY]: sum of x*y over matching trials, over all n.
+def empirical_partial_expectation(empirical: EmpiricalMeasure, i: int, j: int) -> float:
+    """Empirical E_{a_i, b_j}[XY]: sum of x*y*count over the four cells of
+    column (i, j), over all n.
 
     The numerator is an exact integer, so summing the four setting pairs
     reproduces the overall empirical mean of x*y exactly.
     """
     if i not in (0, 1) or j not in (0, 1):
         raise ValueError(f"setting indices must be 0 or 1, got ({i!r}, {j!r})")
-    hit = (series.i == i) & (series.j == j)
-    total = int(np.sum(series.x[hit].astype(np.int64) * series.y[hit].astype(np.int64)))
-    return total / len(series)
+    counts = empirical.counts[CELL_INDEX[:, i, j]].tolist()
+    return sum(x * y * c for (x, y), c in zip(ROW_ORDER, counts)) / empirical.n
 
 
 def chi_square_statistic(empirical: EmpiricalMeasure, measure: JointMeasure) -> float:

@@ -279,7 +279,7 @@ def test_criterion_11_million_trial_estimates():
     for (i, j), term in zip(COLUMN_ORDER, exact_terms):
         assert abs(term) == pytest.approx(SQRT2 / 8.0, abs=1e-12)
         partial_dev = max(
-            partial_dev, abs(empirical_partial_expectation(series, i, j) - term)
+            partial_dev, abs(empirical_partial_expectation(empirical, i, j) - term)
         )
     elapsed = time.perf_counter() - start
     assert cell_dev < 0.003

@@ -56,9 +56,10 @@ def edge_uniforms(monkeypatch, values):
 
 def reference_csv(series):
     """The trial CSV written row by row from the four columns."""
+    x, y, i, j = series.x, series.y, series.i, series.j  # each derived once, not per row
     lines = ["n,x,y,i,j"]
     lines.extend(
-        f"{n},{int(series.x[n])},{int(series.y[n])},{int(series.i[n])},{int(series.j[n])}"
+        f"{n},{int(x[n])},{int(y[n])},{int(i[n])},{int(j[n])}"
         for n in range(len(series))
     )
     return "\n".join(lines) + "\n"
@@ -186,7 +187,7 @@ class TestSampling:
         }
         columns[column] = bad
         with pytest.raises(ValueError, match=f"^{column} must hold only"):
-            TrialSeries(**columns, seed=0, measure_digest="")
+            TrialSeries.from_columns(**columns, seed=0, measure_digest="")
 
     @pytest.mark.parametrize("column", ["x", "y", "i", "j"])
     @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
@@ -199,10 +200,10 @@ class TestSampling:
         }
         columns[column] = columns[column].astype(dtype)
         with pytest.raises(ValueError, match=f"^{column} must be an integer array"):
-            TrialSeries(**columns, seed=0, measure_digest="")
+            TrialSeries.from_columns(**columns, seed=0, measure_digest="")
 
     def test_accepts_wide_integer_columns(self):
-        series = TrialSeries(
+        series = TrialSeries.from_columns(
             x=np.array([1, -1], dtype=np.int64),
             y=np.array([-1, 1], dtype=np.int32),
             i=np.array([0, 1], dtype=np.uint64),
@@ -220,6 +221,63 @@ class TestSampling:
             sample(m, 10, seed=-1)
         with pytest.raises(ValueError):
             sample(m, 10, seed=2**64)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([0, 16], dtype=np.uint8),
+            np.array([0, 255], dtype=np.uint8),
+            np.array([15, -1], dtype=np.int8),
+            np.array([0, 2**32], dtype=np.int64),
+            np.array([0, -(2**63)], dtype=np.int64),
+            np.array([0, 2**64 - 1], dtype=np.uint64),
+        ],
+    )
+    def test_rejects_out_of_range_cells(self, bad):
+        with pytest.raises(ValueError, match="^cells must hold only"):
+            TrialSeries(cells=bad, seed=0, measure_digest="")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([0.0, 1.0]),
+            np.array([True, False]),
+            np.zeros((2, 2), dtype=np.uint8),
+            np.array([], dtype=np.uint8),
+        ],
+        ids=["float", "bool", "2-d", "empty"],
+    )
+    def test_rejects_malformed_cells(self, bad):
+        with pytest.raises(ValueError, match="^cells must be a non-empty 1-d integer array"):
+            TrialSeries(cells=bad, seed=0, measure_digest="")
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64, np.uint64])
+    def test_accepts_wide_integer_cells(self, dtype):
+        narrow = sample(chsh_measure(TSIRELSON_ANGLES), 300, seed=1)
+        wide = TrialSeries(cells=narrow.cells.astype(dtype), seed=1, measure_digest="")
+        assert wide.cells.dtype == np.uint8
+        np.testing.assert_array_equal(wide.cells, narrow.cells)
+        assert wide.to_csv() == narrow.to_csv()
+
+    def test_accepts_a_list_of_cells(self):
+        series = TrialSeries(cells=[3, 4], seed=0, measure_digest="")
+        assert series.cells.dtype == np.uint8
+        assert series.to_csv() == "n,x,y,i,j\n0,-1,-1,0,0\n1,1,1,1,0\n"
+        with pytest.raises(ValueError, match="^cells must be a non-empty 1-d integer array"):
+            TrialSeries(cells=[0.5], seed=0, measure_digest="")
+
+    def test_sample_peak_memory_bounded(self):
+        """One byte per trial plus a few CHUNK-sized temporaries, at any n."""
+        m = chsh_measure(TSIRELSON_ANGLES)
+        n = 32 * CHUNK
+        tracemalloc.start()
+        try:
+            series = sample(m, n, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(series) == n
+        assert peak < n + 4 * 8 * CHUNK
 
 
 class TestSerialization:
@@ -242,7 +300,7 @@ class TestSerialization:
     )
     def test_csv_matches_row_formatter(self, trials):
         x, y, i, j = (np.array(col, dtype=np.int8) for col in zip(*trials))
-        series = TrialSeries(x=x, y=y, i=i, j=j, seed=0, measure_digest="")
+        series = TrialSeries.from_columns(x=x, y=y, i=i, j=j, seed=0, measure_digest="")
         assert series.to_csv() == reference_csv(series)
 
     @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
@@ -261,7 +319,7 @@ class TestSerialization:
         assert peak < 4 * len(text)
 
     def test_binary_layout(self):
-        series = TrialSeries(
+        series = TrialSeries.from_columns(
             x=np.array([1, -1, 1, -1], dtype=np.int8),
             y=np.array([-1, -1, 1, 1], dtype=np.int8),
             i=np.array([0, 1, 1, 0], dtype=np.int8),
@@ -284,6 +342,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match="bits 4-7"):
             decode_binary(bytes([0b0001, 0b10000]))
 
+    def test_binary_rejects_every_high_byte(self):
+        for byte in range(16, 256):
+            with pytest.raises(ValueError, match="bits 4-7"):
+                decode_binary(bytes([0b0101, byte]))
+
+    def test_binary_decodes_every_low_byte(self):
+        x, y, i, j = decode_binary(bytes(range(16)))
+        bits = np.arange(16)
+        np.testing.assert_array_equal(x, np.where(bits & 1, 1, -1))
+        np.testing.assert_array_equal(y, np.where(bits & 2, 1, -1))
+        np.testing.assert_array_equal(i, (bits >> 2) & 1)
+        np.testing.assert_array_equal(j, (bits >> 3) & 1)
+        assert x.dtype == y.dtype == i.dtype == j.dtype == np.int8
+        series = TrialSeries.from_columns(x, y, i, j, seed=0, measure_digest="")
+        assert series.to_binary() == bytes(range(16))
+
     def test_decode_empty(self):
         x, y, i, j = decode_binary(b"")
         assert x.size == y.size == i.size == j.size == 0
@@ -296,7 +370,7 @@ class TestEmpiricalMeasure:
         assert emp.n == 10000
         assert int(emp.counts.sum()) == 10000
         for c, outcome in enumerate(OUTCOME_ORDER):
-            expected = int(np.sum(series.cell_indices() == c))
+            expected = int(np.sum(series.cells == c))
             assert emp.count(outcome.x, outcome.y, outcome.i, outcome.j) == expected
 
     def test_counts_validation(self):
@@ -314,6 +388,27 @@ class TestEmpiricalMeasure:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="at least one trial"):
             EmpiricalMeasure(counts=np.zeros(16, dtype=np.int64), n=0)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[1.9, 0.1] + [0.0] * 14, np.array([True] + [False] * 15)],
+        ids=["float", "bool"],
+    )
+    def test_non_integer_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="counts must be 16 integers"):
+            EmpiricalMeasure(counts=counts, n=1)
+
+    def test_counting_peak_memory_bounded(self):
+        """Counting works one CHUNK at a time: no copy of the whole series."""
+        series = sample(chsh_measure(TSIRELSON_ANGLES), 32 * CHUNK, seed=5)
+        tracemalloc.start()
+        try:
+            emp = empirical_measure(series)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert emp.n == 32 * CHUNK
+        assert peak < 2 * 8 * CHUNK
 
     def test_chi_square_infinite_on_impossible_cell(self):
         m = chsh_measure(TSIRELSON_ANGLES, SettingsDistribution(0.5, 0.5, 0.0, 0.0))
@@ -345,7 +440,7 @@ class TestEstimates:
         exact = chsh_partial(m).term_values
         for (i, j), term in zip(COLUMN_ORDER, exact):
             assert abs(term) == pytest.approx(SQRT2 / 8, abs=1e-12)
-            assert empirical_partial_expectation(series, i, j) == pytest.approx(
+            assert empirical_partial_expectation(emp, i, j) == pytest.approx(
                 term, abs=0.005
             )
         assert chi_square_statistic(emp, m) < 60.0
@@ -370,10 +465,9 @@ class TestEstimates:
             len(series),
         )
         assert sum(parts) == total
+        empirical = empirical_measure(series)
         for (i, j), part in zip(COLUMN_ORDER, parts):
-            assert empirical_partial_expectation(series, i, j) == pytest.approx(
-                float(part), abs=1e-15
-            )
+            assert empirical_partial_expectation(empirical, i, j) == float(part)
 
     def test_partial_equals_conditional_times_rate(self):
         """Empirical identity: partial mean = conditional mean * setting frequency,
@@ -389,9 +483,31 @@ class TestEstimates:
             assert Fraction(s, n) == Fraction(s, n_ij) * Fraction(n_ij, n)
 
     def test_partial_expectation_validates_settings(self):
-        series = sample(chsh_measure(TSIRELSON_ANGLES), 10, seed=0)
+        empirical = empirical_measure(sample(chsh_measure(TSIRELSON_ANGLES), 10, seed=0))
         with pytest.raises(ValueError):
-            empirical_partial_expectation(series, 2, 0)
+            empirical_partial_expectation(empirical, 2, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        trials=st.lists(
+            st.tuples(
+                st.sampled_from([-1, 1]),
+                st.sampled_from([-1, 1]),
+                st.sampled_from([0, 1]),
+                st.sampled_from([0, 1]),
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_partial_from_counts_equals_masked_column_sum(self, trials):
+        x, y, i, j = (np.array(col, dtype=np.int8) for col in zip(*trials))
+        series = TrialSeries.from_columns(x=x, y=y, i=i, j=j, seed=0, measure_digest="")
+        empirical = empirical_measure(series)
+        for (a, b) in COLUMN_ORDER:
+            hit = (i == a) & (j == b)
+            masked = int(np.sum(x[hit].astype(np.int64) * y[hit].astype(np.int64)))
+            assert empirical_partial_expectation(empirical, a, b) == masked / len(trials)
 
 
 class TestCellLayout:
@@ -410,9 +526,9 @@ class TestCellLayout:
     )
     def test_cell_indices_follow_outcome_order(self, trials):
         x, y, i, j = (np.array(col, dtype=np.int8) for col in zip(*trials))
-        series = TrialSeries(x=x, y=y, i=i, j=j, seed=0, measure_digest="")
+        series = TrialSeries.from_columns(x=x, y=y, i=i, j=j, seed=0, measure_digest="")
         expected = [OUTCOME_ORDER.index(ChshOutcome(*t)) for t in trials]
-        assert series.cell_indices().tolist() == expected
+        assert series.cells.tolist() == expected
 
     def test_count_rejects_invalid_cell(self):
         emp = empirical_measure(sample(chsh_measure(TSIRELSON_ANGLES), 100, seed=0))

@@ -53,6 +53,16 @@ PINNED = [
      "b9132eb4ff150fcb27f90d36e4e786fe386c2f2a17144f963528f4efbeea8137"),
     (("sample", JITTERED, *SKEWED, "--n", "200000", "--seed", "99", "--format", "csv"),
      "02e9abbb3905ca2e5c1bb6d9138df8fffead8de0c3ebbdc97ef0dca595020481"),
+    # The summaries count the cells one CHUNK at a time, so 200000 trials cross
+    # three counting boundaries as well.
+    (("sample", "--format", "table", "--n", "200000"),
+     "edc8697700afb45635dd945be609c657b900b033197330d73b5c34cd8960e76c"),
+    (("sample", JITTERED, *SKEWED, "--n", "200000", "--seed", "99", "--format", "table"),
+     "8eea85591af826d7490700ca2575ae1f71c890aefcbea54ae1ac44094cea7eda"),
+    (("sample", "--format", "json", "--n", "200000"),
+     "646a332274f191bb28a745b0b53804b195926ccba69d711b34b7c99001ce0267"),
+    (("sample", JITTERED, *SKEWED, "--n", "200000", "--seed", "99", "--format", "json"),
+     "3e1fb3d4751b4694b4793bd3d80cdc92c899549e1d36446eb41c0a791b1a6d96"),
 ]
 
 
