@@ -21,6 +21,7 @@ import re
 import sys
 from typing import Any, Callable, Sequence
 
+from . import __version__
 from .inequalities import (
     BELL_TEST_ANGLES,
     BELL_TEST_SETTINGS,
@@ -428,6 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bellmodel",
         description="Probability model and inequality analysis of the four-setting experiment",
     )
+    parser.add_argument("--version", action="version", version=f"bellmodel {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     handlers: dict[str, tuple[Callable[[argparse.Namespace], int], tuple[str, ...], str]] = {

@@ -73,7 +73,8 @@ class TrialSeries:
 
     ``cells`` holds each trial's position in `OUTCOME_ORDER` as ``uint8``
     (an integer array of any width is accepted; values outside 0-15 raise
-    ValueError); the int8 columns x, y (+-1) and i, j (0/1) derive from it.
+    ValueError) and is stored read-only; the int8 columns x, y (+-1) and
+    i, j (0/1) derive from it.
     ``measure_digest`` ties the series to the measure it was drawn from and
     ``generator`` names the sampling algorithm, so a stored series can be
     re-derived and audited.
@@ -91,7 +92,11 @@ class TrialSeries:
         # min/max compare without arithmetic, so no integer width can wrap.
         if cells.min() < 0 or cells.max() > 15:
             raise ValueError("cells must hold only canonical cell indices 0-15")
-        object.__setattr__(self, "cells", cells.astype(np.uint8, copy=False))
+        # A read-only view: a later write could put an index outside 0-15,
+        # and a view leaves the caller's own array writable without a copy.
+        cells = cells.astype(np.uint8, copy=False).view()
+        cells.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
 
     @classmethod
     def from_columns(
@@ -159,8 +164,9 @@ def sample(measure: JointMeasure, n: int, seed: int) -> TrialSeries:
     """Draw ``n`` independent trials from the joint measure.
 
     Each chunk of `CHUNK` trials uses its own Philox stream keyed by
-    (seed, chunk index); uniforms map to cells through the cumulative
-    table, so cells of probability 0 are never produced.
+    (seed, chunk index).  A uniform u maps to the number of cumulative
+    thresholds at or below u among the cells before the last possible one,
+    so cells of probability 0 are never produced.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -171,14 +177,18 @@ def sample(measure: JointMeasure, n: int, seed: int) -> TrialSeries:
     # Rounding can leave cdf[-1] < 1; a uniform at or above it goes to the
     # last cell that can occur, not to cell 15 when that cell has probability 0.
     last = int(np.flatnonzero(probs)[-1])
-    cells = np.empty(n, dtype=np.uint8)
+    cells = np.zeros(n, dtype=np.uint8)
     for chunk in range(0, n, CHUNK):
         count = min(CHUNK, n - chunk)
         gen = np.random.Generator(
             np.random.Philox(key=np.array([seed, chunk // CHUNK], dtype=np.uint64))
         )
         u = gen.random(count)
-        cells[chunk : chunk + count] = np.minimum(np.searchsorted(cdf, u, side="right"), last)
+        # cdf is nondecreasing, so this count equals searchsorted(cdf, u,
+        # side="right") capped at last, with the same float comparisons.
+        out = cells[chunk : chunk + count]
+        for threshold in cdf[:last]:
+            out += u >= threshold
     return TrialSeries(cells=cells, seed=seed, measure_digest=measure.digest())
 
 

@@ -23,6 +23,7 @@ import json
 import math
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -358,15 +359,20 @@ class JointMeasure:
         space = FiniteProbabilitySpace(outcomes=OUTCOME_ORDER, weights=weights)
         return cls(space=space, angles=tuple(angles), settings=settings)
 
-    @property
+    @cached_property
     def probs(self) -> np.ndarray:
-        """All 16 weights as an array aligned with `OUTCOME_ORDER`."""
-        return np.array(self.space.weights)
+        """All 16 weights as a read-only array aligned with `OUTCOME_ORDER`."""
+        probs = np.array(self.space.weights)
+        probs.flags.writeable = False
+        return probs
 
-    @property
+    @cached_property
     def table(self) -> np.ndarray:
-        """The 16 weights laid out as (row, i, j), indexed through `CELL_INDEX`."""
-        return self.probs[CELL_INDEX]
+        """The 16 weights laid out as (row, i, j), indexed through `CELL_INDEX`
+        (read-only)."""
+        table = self.probs[CELL_INDEX]
+        table.flags.writeable = False
+        return table
 
     def probability(self, x: int, y: int, i: int, j: int) -> float:
         return self.space.weight(ChshOutcome(x=x, y=y, i=i, j=j))

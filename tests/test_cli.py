@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from bellmodel import cli
+from bellmodel import __version__, cli
 from bellmodel.cli import main
 from bellmodel.probspace import chsh_measure
 from bellmodel.singlet import TSIRELSON_ANGLES
@@ -227,6 +227,9 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_version(self, capsys):
+        assert run(capsys, "--version") == (0, f"bellmodel {__version__}\n", "")
 
     def test_bad_angle_token(self, capsys):
         code, _, err = run(capsys, "measure", "--angles", "0,zero,1,2")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellmodel.inequalities import chsh_partial
@@ -65,6 +65,27 @@ def reference_csv(series):
     return "\n".join(lines) + "\n"
 
 
+def searchsorted_cells(probs, u):
+    """The binary-search lookup the sampler's threshold count must reproduce:
+    searchsorted over the cumulative table, capped at the last possible cell."""
+    last = int(np.flatnonzero(probs)[-1])
+    return np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), last)
+
+
+def measure_from_weights(weights):
+    """A measure with the given 16 cell weights (normalized), whose settings
+    are its column masses."""
+    probs = np.asarray(weights, dtype=float) / math.fsum(weights)
+    masses = {ij: math.fsum(probs[4 * c : 4 * c + 4]) for c, ij in enumerate(COLUMN_ORDER)}
+    return JointMeasure.from_probabilities(
+        TSIRELSON_ANGLES, SettingsDistribution.from_mapping(masses), probs
+    )
+
+
+#: Cell weights whose cumulative sum ends below 1 and whose last cell is 0.
+SHORT_CDF_CELLS = [0.0625] * 12 + [0.00625, 0.121875, 0.121875, 0.0]
+
+
 def degenerate_measure():
     """All mass on the cell (x=1, y=1, i=0, j=0)."""
     cells = {outcome: 0.0 for outcome in [(o.x, o.y, o.i, o.j) for o in OUTCOME_ORDER]}
@@ -116,8 +137,9 @@ class TestSampling:
     def test_overflow_uniform_skips_zero_last_cell(self, monkeypatch):
         """Regression: cumulative sums ending below 1 sent u >= cdf[-1] to
         cell 15 even when that cell has probability 0."""
-        cells = [0.0625] * 12 + [0.00625, 0.121875, 0.121875, 0.0]
-        m = JointMeasure.from_probabilities(TSIRELSON_ANGLES, SettingsDistribution.uniform(), cells)
+        m = JointMeasure.from_probabilities(
+            TSIRELSON_ANGLES, SettingsDistribution.uniform(), SHORT_CDF_CELLS
+        )
         assert np.cumsum(m.probs)[-1] < 1.0
         edge_uniforms(monkeypatch, [U_MAX])
         counts = empirical_measure(sample(m, 100, seed=0)).counts
@@ -145,6 +167,46 @@ class TestSampling:
             edge_uniforms(patch, [0.0, U_MAX, *np.cumsum(m.probs)[np.cumsum(m.probs) < 1.0]])
             counts = empirical_measure(sample(m, 64, seed=seed)).counts
         assert not np.any(counts[zero])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=16, max_size=16
+        ).filter(any)
+    )
+    @example(weights=SHORT_CDF_CELLS)
+    def test_threshold_count_matches_searchsorted(self, weights):
+        """At every cumulative threshold and its float neighbours, the sampler
+        picks the cell the capped binary search over the cumulative table picks."""
+        m = measure_from_weights(weights)
+        cdf = np.cumsum(m.probs)
+        u = np.concatenate(
+            [[0.0, U_MAX], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)]
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            edge_uniforms(patch, u)
+            series = sample(m, u.size, seed=0)
+        np.testing.assert_array_equal(series.cells, searchsorted_cells(m.probs, u))
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            chsh_measure(TSIRELSON_ANGLES),
+            measure_from_weights(SHORT_CDF_CELLS),
+        ],
+        ids=["tsirelson", "short-cdf"],
+    )
+    def test_threshold_count_matches_searchsorted_on_philox_stream(self, m):
+        n, seed = 2 * CHUNK + 3, 2**64 - 1
+        u = np.concatenate([
+            np.random.Generator(
+                np.random.Philox(key=np.array([seed, c], dtype=np.uint64))
+            ).random(min(CHUNK, n - c * CHUNK))
+            for c in range(3)
+        ])
+        np.testing.assert_array_equal(
+            sample(m, n, seed=seed).cells, searchsorted_cells(m.probs, u)
+        )
 
     def test_provenance_recorded(self):
         m = chsh_measure(TSIRELSON_ANGLES)
@@ -259,6 +321,26 @@ class TestSampling:
         np.testing.assert_array_equal(wide.cells, narrow.cells)
         assert wide.to_csv() == narrow.to_csv()
 
+    @pytest.mark.parametrize("source", ["sample", "uint8", "from_columns"])
+    def test_cells_read_only(self, source):
+        """A write could put an index outside 0-15 past the validation."""
+        if source == "sample":
+            series = sample(chsh_measure(TSIRELSON_ANGLES), 100, seed=1)
+        elif source == "uint8":
+            series = TrialSeries(cells=np.array([3, 4], dtype=np.uint8), seed=0, measure_digest="")
+        else:
+            one = np.ones(2, dtype=np.int8)
+            series = TrialSeries.from_columns(one, one, one - 1, one - 1, seed=0, measure_digest="")
+        with pytest.raises(ValueError, match="read-only"):
+            series.cells[0] = 200
+        assert series.cells.max() <= 15
+
+    def test_callers_cells_stay_writable(self):
+        cells = np.array([3, 4], dtype=np.uint8)
+        series = TrialSeries(cells=cells, seed=0, measure_digest="")
+        assert np.shares_memory(series.cells, cells)  # a view, not a copy
+        cells[0] = 5  # raises if the caller's array was made read-only
+
     def test_accepts_a_list_of_cells(self):
         series = TrialSeries(cells=[3, 4], seed=0, measure_digest="")
         assert series.cells.dtype == np.uint8
@@ -277,7 +359,7 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert len(series) == n
-        assert peak < n + 4 * 8 * CHUNK
+        assert peak < n + 3 * 8 * CHUNK
 
 
 class TestSerialization:

@@ -458,6 +458,16 @@ class TestCellIndex:
         with pytest.raises(ValueError):
             chsh_measure(TSIRELSON_ANGLES).column(-1, 0)
 
+    def test_probs_and_table_built_once_and_read_only(self):
+        m = chsh_measure(TSIRELSON_ANGLES)
+        assert m.probs is m.probs
+        assert m.table is m.table
+        with pytest.raises(ValueError, match="read-only"):
+            m.probs[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.table[0, 0, 0] = 1.0
+        assert m.probs.tolist() == list(m.space.weights)
+
     @given(st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16).filter(lambda w: sum(w) > 0))
     def test_table_matches_probability(self, raw):
         total = math.fsum(raw)
