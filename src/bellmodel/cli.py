@@ -52,7 +52,7 @@ __all__ = ["main"]
 _MAX_N = 10_000_000
 #: Largest accepted --restarts.
 _MAX_RESTARTS = 1000
-#: Largest accepted --grid per subcommand: factorize scans grid^4 points,
+#: Largest accepted --grid per subcommand: factorize scans grid^2 points,
 #: witness holds a few complex arrays of grid nodes, lhv-fit builds a model
 #: on grid latent points.
 _MAX_GRID = {"factorize": 32, "witness": 1_000_000, "lhv-fit": 1024}

@@ -24,7 +24,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 
 from .probspace import COLUMN_ORDER, ROW_ORDER, STRATEGY_ANSWERS, JointMeasure
 from .singlet import DetectorAngle, conditional_joint_probs
@@ -169,17 +169,30 @@ def _product_residual(params: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Summed squared error of the product table; broadcasts over leading axes.
 
     ``params`` has shape (..., 4) = (u0, u1, v0, v1); ``target`` is the
-    16-cell table in (row, i, j) layout, as `JointMeasure.table`.
+    16-cell table in (row, i, j) layout, as `JointMeasure.table`.  The product
+    table is the prediction of one latent point answering X = +1 with
+    probability u_i and Y = -1 with probability 1 - v_j, at weight 1/4 per
+    setting pair.
     """
-    u = (params[..., 0], params[..., 1])
-    v = (params[..., 2], params[..., 3])
-    res = 0.0
-    for (i, j) in COLUMN_ORDER:
-        px = {1: u[i], -1: 1.0 - u[i]}
-        py = {1: v[j], -1: 1.0 - v[j]}
-        for row, (x, y) in enumerate(ROW_ORDER):
-            res = res + (0.25 * px[x] * py[y] - target[row, i, j]) ** 2
-    return res
+    u = params[..., 0:2, None]
+    v = params[..., 2:4, None]
+    pred = 0.25 * _predicted_table(np.ones(1), u, 1.0 - v)
+    return ((pred - target) ** 2).sum(axis=(-3, -2, -1))
+
+
+def _best_response(target: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Detector A's exact least-squares (u0, u1) for B's fixed v, shape (..., 2).
+
+    With v fixed the residual is a separate convex quadratic in each u_i.  With
+    c = P[Y = y | v_j] / 4 and t+, t- the target cells of (x, y) = (+1, y) and
+    (-1, y), its minimizer is sum c * (t+ - t- + c) / (2 * sum c^2) over j and
+    y, clipped to [0, 1].  The denominator is at least 1/8.  B's reply is the
+    same function of the mirrored table ``target[[0, 2, 1, 3]].transpose(0, 2, 1)``.
+    """
+    c = 0.25 * np.stack((v, 1.0 - v), axis=-2)[..., :, None, :]  # (..., y, 1, j)
+    diff = target[[0, 2]] - target[[1, 3]]  # (y, i, j): t+ - t-
+    square = (c * c).sum(axis=(-3, -1))
+    return np.clip((c * (diff + c)).sum(axis=(-3, -1)) / (2.0 * square), 0.0, 1.0)
 
 
 def factorizability_fit(
@@ -187,10 +200,13 @@ def factorizability_fit(
 ) -> ProductFit:
     """Least-squares fit of a Bernoulli-product table to the measure.
 
-    Coarse grid search over [0, 1]^4 (``grid_points`` per axis) picks the
-    ``restarts`` best corners, each refined with bounded L-BFGS-B; the best
-    refined point wins.  Requires uniform settings: the product form fixes
-    every setting-pair probability at 1/4.
+    With one detector's parameters fixed, the other's best reply is exact
+    (`_best_response`).  A coarse scan pairs each of ``grid_points``^2 values
+    of B's (v0, v1) with A's exact reply; the ``restarts`` best of these then
+    alternate both detectors' exact replies while the residual strictly
+    falls, and the lowest wins.  Each reply minimizes its block exactly, so
+    no start ends worse than it began.  Requires uniform settings: the
+    product form fixes every setting-pair probability at 1/4.
     """
     if not measure.settings.is_uniform():
         raise ValueError("factorizability fit requires uniform settings (each pair 1/4)")
@@ -199,28 +215,28 @@ def factorizability_fit(
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     target = measure.table
+    mirrored = target[[0, 2, 1, 3]].transpose(0, 2, 1)
 
     axis = np.linspace(0.0, 1.0, grid_points)
-    grid = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 4)
+    v = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    grid = np.concatenate((_best_response(target, v), v), axis=-1)
     coarse = _product_residual(grid, target)
     k = min(restarts, len(coarse))
-    starts = grid[np.argpartition(coarse, k - 1)[:k]]
+    starts = np.argpartition(coarse, k - 1)[:k]
+    params, values = grid[starts], coarse[starts]
 
-    best_params = None
-    best_value = math.inf
-    for x0 in starts:
-        out = minimize(
-            lambda p: float(_product_residual(p, target)),
-            x0,
-            method="L-BFGS-B",
-            bounds=[(0.0, 1.0)] * 4,
-        )
-        if out.fun < best_value:
-            best_value = float(out.fun)
-            best_params = np.clip(out.x, 0.0, 1.0)
+    while True:
+        v = _best_response(mirrored, params[:, :2])
+        step = np.concatenate((_best_response(target, v), v), axis=-1)
+        step_values = _product_residual(step, target)
+        falls = step_values < values
+        if not falls.any():
+            break
+        params[falls] = step[falls]
+        values[falls] = step_values[falls]
 
-    u0, u1, v0, v1 = (float(p) for p in best_params)
-    return ProductFit(p_plus_a0=u0, p_plus_a1=u1, p_plus_b0=v0, p_plus_b1=v1, residual=best_value)
+    best = int(np.argmin(values))
+    return ProductFit(*params[best].tolist(), residual=float(values[best]))
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +380,12 @@ class LHVModel:
 def _predicted_table(rho: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Predicted conditional probabilities, shape (..., 4 rows, 2, 2) = (..., row, i, j).
 
-    A ``rho`` of shape (..., 1, size) gives one table per leading index.
+    A ``rho`` of shape (..., 1, size), or ``p`` and ``q`` of shape
+    (..., 2, size), gives one table per leading index.
     """
     pr = p * rho
     mr = (1.0 - p) * rho
-    qt = q.T
+    qt = np.swapaxes(q, -1, -2)
     nt = 1.0 - qt
     pred = np.empty(pr.shape[:-2] + (4, 2, 2))
     pred[..., 0, :, :] = pr @ nt  # (+1, +1): X answers +1, Y does not answer -1

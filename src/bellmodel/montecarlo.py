@@ -210,6 +210,7 @@ class EmpiricalMeasure:
             raise ValueError("counts must be nonnegative")
         if int(counts.sum()) != self.n:
             raise ValueError("counts must sum to the number of trials")
+        counts.flags.writeable = False  # a private copy, so n and the sum stay in step
         object.__setattr__(self, "counts", counts)
 
     @property

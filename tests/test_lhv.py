@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +31,7 @@ from bellmodel.probspace import (
     chsh_measure,
 )
 from bellmodel.singlet import TSIRELSON_ANGLES, DetectorAngle, conditional_joint_probs
+from test_acceptance import _exhaustive_product_residual
 
 SQRT2 = math.sqrt(2.0)
 M_LOWER_BOUND = (2 * SQRT2 - 2) / 16
@@ -41,6 +43,13 @@ FLAT_ANGLES = (
     DetectorAngle(math.pi / 4),
     DetectorAngle(3 * math.pi / 4),
 )
+
+
+def scan_min(params, k, target):
+    """Lowest product residual over 101 evenly spaced values of parameter k."""
+    trial = np.tile(params, (101, 1))
+    trial[:, k] = np.linspace(0.0, 1.0, 101)
+    return lhv._product_residual(trial, target).min()
 
 
 def product_measure(u, v):
@@ -147,6 +156,63 @@ class TestFactorizabilityFit:
     def test_as_dict_fields(self):
         doc = factorizability_fit(chsh_measure(FLAT_ANGLES)).as_dict()
         assert set(doc) == {"p_plus_a0", "p_plus_a1", "p_plus_b0", "p_plus_b1", "residual"}
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_no_worse_than_exhaustive_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        measure = chsh_measure(tuple(DetectorAngle(a) for a in rng.uniform(0.0, math.pi, 4)))
+        oracle = _exhaustive_product_residual(measure, steps=201)
+        assert factorizability_fit(measure).residual <= oracle + 1e-12
+
+    def test_peak_memory_is_small(self):
+        """The scan covers B's grid_points^2 values only, not all four parameters."""
+        measure = chsh_measure(TSIRELSON_ANGLES)
+        tracemalloc.start()
+        try:
+            factorizability_fit(measure)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        angles=st.lists(st.floats(0.0, math.pi), min_size=4, max_size=4),
+        product=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        use_product=st.booleans(),
+        other=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+    )
+    def test_best_response_is_exact(self, angles, product, use_product, other):
+        """Each reply is no worse than any of 101 values of each of its parameters."""
+        if use_product:
+            measure = product_measure(product[:2], product[2:])
+        else:
+            measure = chsh_measure(tuple(DetectorAngle(a) for a in angles))
+        target = measure.table
+        mirrored = target[[0, 2, 1, 3]].transpose(0, 2, 1)
+        # A's reply to v = other, then B's reply to u = other through the mirrored table
+        a_reply = np.concatenate((lhv._best_response(target, np.array(other)), other))
+        b_reply = np.concatenate((other, lhv._best_response(mirrored, np.array(other))))
+        for params, own in ((a_reply, (0, 1)), (b_reply, (2, 3))):
+            best = lhv._product_residual(params, target)
+            for k in own:
+                assert best <= scan_min(params, k, target) + 1e-15
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fit_is_a_best_reply_for_both_detectors(self, seed):
+        """On tables far from any product, no parameter alone can lower the residual."""
+        rng = np.random.default_rng(seed)
+        cells = {
+            (x, y, i, j): 0.25 * float(w)
+            for (i, j) in COLUMN_ORDER
+            for (x, y), w in zip(ROW_ORDER, rng.dirichlet(np.full(4, 0.5)))
+        }
+        measure = JointMeasure.from_probabilities(
+            TSIRELSON_ANGLES, SettingsDistribution.uniform(), cells
+        )
+        fit = factorizability_fit(measure)
+        for k in range(4):
+            assert fit.residual <= scan_min(np.array(fit.params()), k, measure.table) + 1e-15
 
 
 class TestFourierWitness:

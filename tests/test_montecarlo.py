@@ -480,6 +480,19 @@ class TestEmpiricalMeasure:
         with pytest.raises(ValueError, match="counts must be 16 integers"):
             EmpiricalMeasure(counts=counts, n=1)
 
+    def test_counts_read_only(self):
+        """A write would break the checked sum: counts no longer add up to n."""
+        counts = np.zeros(16, dtype=np.int64)
+        counts[0] = 1000
+        built = EmpiricalMeasure(counts=counts, n=1000)
+        emp = empirical_measure(sample(chsh_measure(TSIRELSON_ANGLES), 1000, seed=1))
+        for e in (built, emp):
+            with pytest.raises(ValueError, match="read-only"):
+                e.counts[0] = -500
+            assert int(e.counts.sum()) == e.n == 1000
+        counts[0] = 7  # the caller's array is copied, so it stays writable
+        assert built.counts[0] == 1000
+
     def test_counting_peak_memory_bounded(self):
         """Counting works one CHUNK at a time: no copy of the whole series."""
         series = sample(chsh_measure(TSIRELSON_ANGLES), 32 * CHUNK, seed=5)
