@@ -19,7 +19,9 @@ Serialized layouts (both byte-exact):
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -51,13 +53,60 @@ _CELL_Y = np.array([o.y for o in OUTCOME_ORDER], dtype=np.int8)
 _CELL_I = np.array([o.i for o in OUTCOME_ORDER], dtype=np.int8)
 _CELL_J = np.array([o.j for o in OUTCOME_ORDER], dtype=np.int8)
 
-#: Trial-CSV text after the trial index, per canonical cell: ``",x,y,i,j\n"``.
-_CSV_SUFFIX = tuple(f",{o.x},{o.y},{o.i},{o.j}\n" for o in OUTCOME_ORDER)
+#: Trial-CSV text after the trial index, per canonical cell: ``",x,y,i,j\n"``
+#: as one NUL-padded 12-byte word.
+_CSV_SUFFIX = np.array([f",{o.x},{o.y},{o.i},{o.j}\n".encode() for o in OUTCOME_ORDER], dtype="V12")
+
+
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """ASCII digits of 0-9999 as 4-byte words, NUL where a digit is absent:
+    entries 0-9999 are unpadded, entries 10000-19999 zero-filled to four
+    digits.  Built on first use, so that a process that writes no CSV does
+    not pay for it."""
+    d = np.arange(10000)[:, None]
+    digits = (d // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    unpadded = np.where(d >= np.array([1000, 100, 10, 0]), digits, 0)  # units always written
+    # A uint32 view keeps the bytes in reading order on any byte order.
+    words = np.concatenate([unpadded, digits]).view(np.uint32).ravel()
+    words.flags.writeable = False
+    return words
+
 
 #: Binary record byte per canonical cell, and its inverse (16: a high bit is set).
 _BYTES = [(o.x > 0) | (o.y > 0) << 1 | o.i << 2 | o.j << 3 for o in OUTCOME_ORDER]
 _BYTE_OF_CELL = np.array(_BYTES, dtype=np.uint8)
 _CELL_OF_BYTE = np.array([_BYTES.index(b) if b < 16 else 16 for b in range(256)], dtype=np.uint8)
+
+for _table in (_CELL_X, _CELL_Y, _CELL_I, _CELL_J, _CSV_SUFFIX, _BYTE_OF_CELL, _CELL_OF_BYTE):
+    _table.flags.writeable = False
+
+
+def _csv_rows(start: int, cells: np.ndarray) -> str:
+    """Trial-CSV rows of trials ``start``, ``start + 1``, ... with ``cells``.
+
+    Each row is one record of NUL-padded fields, written straight into a
+    byte buffer: the index's leading digits, its last four digits and the
+    cell's suffix.  Dropping the NUL bytes leaves the text, so rows of any
+    width share one layout.
+    """
+    stop = start + len(cells)
+    width = len(str((stop - 1) // 10000))
+    record = np.dtype([("lead", f"V{width}"), ("last", np.uint32), ("suffix", "V12")])
+    raw = bytearray(len(cells) * record.itemsize)
+    rows = np.frombuffer(raw, dtype=record)
+    words = _digit_words()
+    # Indices with the same k // 10000 share every digit but the last four,
+    # and those run through a slice of the table: zero-filled after a
+    # nonzero lead, unpadded without one.
+    for high in range(start // 10000, (stop - 1) // 10000 + 1):
+        first, last = max(start, 10000 * high), min(stop, 10000 * high + 10000)
+        block = rows[first - start : last - start]
+        block["lead"] = (str(high).encode() if high else b"").rjust(width, b"\0")
+        offset = first - 10000 * high + (10000 if high else 0)
+        block["last"] = words[offset : offset + last - first]
+    rows["suffix"] = np.take(_CSV_SUFFIX, cells)  # faster than _CSV_SUFFIX[cells] here
+    return raw.translate(None, b"\0").decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -140,12 +189,11 @@ class TrialSeries:
             yield self[n]
 
     def to_csv(self) -> str:
-        """Trial CSV: each row is its index plus one of 16 cell suffixes,
-        joined one `CHUNK` of trials at a time."""
+        """Trial CSV, built one `CHUNK` of trials at a time from table
+        lookups: digit words of each index and one of 16 cell suffixes."""
         chunks = ["n,x,y,i,j\n"]
         for start in range(0, len(self), CHUNK):
-            chunk = self.cells[start : start + CHUNK].tolist()
-            chunks.append("".join([f"{k}{_CSV_SUFFIX[c]}" for k, c in enumerate(chunk, start)]))
+            chunks.append(_csv_rows(start, self.cells[start : start + CHUNK]))
         return "".join(chunks)
 
     def to_binary(self) -> bytes:
@@ -204,6 +252,8 @@ class EmpiricalMeasure:
         if counts.shape != (16,) or not np.issubdtype(counts.dtype, np.integer):
             raise ValueError("counts must be 16 integers, one per canonical cell")
         counts = counts.astype(np.int64)  # a uint64 count past int64 turns negative below
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("an empirical measure needs at least one trial")
         if np.any(counts < 0):

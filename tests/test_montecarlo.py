@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bellmodel import montecarlo
 from bellmodel.inequalities import chsh_partial
 from bellmodel.montecarlo import (
     CHUNK,
@@ -63,6 +64,16 @@ def reference_csv(series):
         for n in range(len(series))
     )
     return "\n".join(lines) + "\n"
+
+
+#: ``",x,y,i,j\n"`` per canonical cell, as the row-by-row writer formats it.
+ROW_SUFFIX = [f",{o.x},{o.y},{o.i},{o.j}\n" for o in OUTCOME_ORDER]
+
+
+def f_string_rows(start, cells):
+    """Trial-CSV rows written one f-string per trial: the reference for the
+    table-lookup writer."""
+    return "".join([f"{k}{ROW_SUFFIX[c]}" for k, c in enumerate(cells, start)])
 
 
 def searchsorted_cells(probs, u):
@@ -390,6 +401,38 @@ class TestSerialization:
         series = sample(chsh_measure(TSIRELSON_ANGLES), n, seed=n)
         assert series.to_csv() == reference_csv(series)
 
+    # Each n ends just below, at or just past a power of ten, where the last
+    # index gains a digit; from 10**4 on, the last four digits follow a lead.
+    @pytest.mark.parametrize(
+        "n", [9, 10, 11, 99, 100, 101, 9999, 10000, 10001, 99999, 100000, 100001]
+    )
+    def test_csv_matches_row_formatter_at_width_edges(self, n):
+        series = sample(chsh_measure(TSIRELSON_ANGLES), n, seed=n)
+        assert series.to_csv() == reference_csv(series)
+
+    @pytest.mark.parametrize("n", [999999, 1000000, 1000001])
+    def test_csv_matches_f_string_writer_at_a_million(self, n):
+        series = sample(chsh_measure(TSIRELSON_ANGLES), n, seed=n)
+        assert series.to_csv() == "n,x,y,i,j\n" + f_string_rows(0, series.cells.tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.integers(0, 10**15),
+        cells=st.lists(st.integers(0, 15), min_size=1, max_size=200),
+    )
+    @example(start=0, cells=[0, 15])
+    @example(start=10**4 - 1, cells=[3, 4])
+    @example(start=10**4, cells=[5])
+    @example(start=10**8 - 1, cells=[15, 0])
+    @example(start=10**8, cells=[7])
+    @example(start=10**12 - 1, cells=[9, 10])
+    @example(start=10**12, cells=[11])
+    def test_chunk_rows_match_f_string_writer(self, start, cells):
+        """The per-chunk writer at any trial offset, also across a multiple
+        of 10**4, where the lead digits change."""
+        rows = montecarlo._csv_rows(start, np.array(cells, dtype=np.uint8))
+        assert rows == f_string_rows(start, cells)
+
     def test_csv_peak_memory_bounded(self):
         series = sample(chsh_measure(TSIRELSON_ANGLES), 4 * CHUNK, seed=3)
         tracemalloc.start()
@@ -479,6 +522,13 @@ class TestEmpiricalMeasure:
     def test_non_integer_counts_rejected(self, counts):
         with pytest.raises(ValueError, match="counts must be 16 integers"):
             EmpiricalMeasure(counts=counts, n=1)
+
+    @pytest.mark.parametrize("n", [True, np.True_, 1.0, np.float64(1.0)])
+    def test_non_integer_n_rejected(self, n):
+        counts = np.zeros(16, dtype=np.int64)
+        counts[0] = 1
+        with pytest.raises(ValueError, match="n must be an integer"):
+            EmpiricalMeasure(counts=counts, n=n)
 
     def test_counts_read_only(self):
         """A write would break the checked sum: counts no longer add up to n."""
@@ -606,6 +656,15 @@ class TestEstimates:
 
 
 class TestCellLayout:
+    def test_lookup_tables_read_only(self):
+        """A write to a shared table would change every later lookup."""
+        names = ("_CELL_X", "_CELL_Y", "_CELL_I", "_CELL_J", "_BYTE_OF_CELL",
+                 "_CELL_OF_BYTE", "_CSV_SUFFIX")
+        tables = [getattr(montecarlo, name) for name in names] + [montecarlo._digit_words()]
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = table[-1]
+
     @settings(max_examples=50, deadline=None)
     @given(
         trials=st.lists(

@@ -58,6 +58,11 @@ PINNED = [
      "b9132eb4ff150fcb27f90d36e4e786fe386c2f2a17144f963528f4efbeea8137"),
     (("sample", JITTERED, *SKEWED, "--n", "200000", "--seed", "99", "--format", "csv"),
      "02e9abbb3905ca2e5c1bb6d9138df8fffead8de0c3ebbdc97ef0dca595020481"),
+    # The last index, 10**6 or 10**5, gains a digit inside a chunk of the CSV writer.
+    (("sample", "--format", "csv", "--n", "1000001"),
+     "3a535ac45db4b076200dee831664ca1f656add51107ce306359b77a997021186"),
+    (("sample", JITTERED, *SKEWED, "--seed", "99", "--n", "100001"),
+     "9909cc9a268529ba6a2dfe95d967b82e9e575712c2f054e26e6e8a9b2b0b57da"),
     # The summaries count the cells one CHUNK at a time, so 200000 trials cross
     # three counting boundaries as well.
     (("sample", "--format", "table", "--n", "200000"),
