@@ -46,6 +46,8 @@ from .montecarlo import (
     empirical_measure,
     empirical_partial_expectation,
     sample,
+    sample_chunks,
+    trial_csv,
 )
 from .probspace import (
     CELL_INDEX,

@@ -35,7 +35,16 @@ from .lhv import (
     m_separability_search,
     no_signaling_report,
 )
-from .montecarlo import empirical_measure, empirical_partial_expectation, sample
+# `sample` is not called here: `sample_chunks` draws the same trials.  It
+# stays importable as bellmodel.cli.sample, a name bench/layers.py wraps.
+from .montecarlo import (  # noqa: F401
+    GENERATOR_ID,
+    empirical_measure,
+    empirical_partial_expectation,
+    sample,
+    sample_chunks,
+    trial_csv,
+)
 from .probspace import (
     COLUMN_ORDER,
     ROW_ORDER,
@@ -48,7 +57,9 @@ from .singlet import TSIRELSON_ANGLES, DetectorAngle
 
 __all__ = ["main"]
 
-#: Largest accepted --n: the sampler holds every trial in memory.
+#: Largest accepted --n.  `sample` streams one chunk of trials at a time,
+#: so memory does not grow with n; the bound caps run time and output size
+#: instead (10^7 trials are 169 MB of trial CSV).
 _MAX_N = 10_000_000
 #: Largest accepted --restarts.
 _MAX_RESTARTS = 1000
@@ -383,11 +394,12 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     n = opts.get_int("n", 10000, _MAX_N)
     seed = opts.get_int("seed", 0)
     measure = chsh_measure(angles, settings)
-    series = sample(measure, n=n, seed=seed)
+    chunks = sample_chunks(measure, n, seed)
     if fmt == "csv":
-        _emit(series.to_csv())
+        for piece in trial_csv(chunks):  # each piece ends with a newline
+            sys.stdout.write(piece)
         return 0
-    empirical = empirical_measure(series)
+    empirical = empirical_measure(chunks)
     partials = {
         f"a{i}b{j}": empirical_partial_expectation(empirical, i, j) for (i, j) in COLUMN_ORDER
     }
@@ -395,15 +407,15 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         doc = {
             "seed": seed,
             "n": n,
-            "generator": series.generator,
-            "measure_digest": series.measure_digest,
+            "generator": GENERATOR_ID,
+            "measure_digest": measure.digest(),
             "counts": [int(c) for c in empirical.counts],
             "frequencies": [float(f) for f in empirical.frequencies],
             "partial_expectations": partials,
         }
         _emit_json(doc)
     else:
-        lines = [f"n: {n}", f"seed: {seed}", f"generator: {series.generator}"]
+        lines = [f"n: {n}", f"seed: {seed}", f"generator: {GENERATOR_ID}"]
         lines += [f"partial E {label}: {sig17(value)}" for label, value in partials.items()]
         counts = " ".join(str(int(c)) for c in empirical.counts)
         lines.append(f"counts: {counts}")

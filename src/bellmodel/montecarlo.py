@@ -8,6 +8,9 @@ keeps its prefix: trial k never depends on how many trials follow it.
 
 A `TrialSeries` stores each trial only as its ``uint8`` cell index (position
 in `OUTCOME_ORDER`); its columns, counts and both layouts are lookups on it.
+`sample_chunks` yields the same cells one chunk at a time, and counts and
+the trial CSV can be taken from those chunks as they are drawn, so a run of
+any length needs memory for one chunk only.
 
 Serialized layouts (both byte-exact):
 
@@ -23,7 +26,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -40,6 +43,8 @@ __all__ = [
     "empirical_measure",
     "empirical_partial_expectation",
     "sample",
+    "sample_chunks",
+    "trial_csv",
 ]
 
 #: Trials per Philox chunk; chunk c of a run uses key (seed, c).
@@ -109,6 +114,31 @@ def _csv_rows(start: int, cells: np.ndarray) -> str:
     return raw.translate(None, b"\0").decode("ascii")
 
 
+def trial_csv(chunks: Iterable[np.ndarray]) -> Iterator[str]:
+    """Trial CSV of consecutive chunks of cell indices 0-15 (as
+    `sample_chunks` yields them), piece by piece: the header, then the rows
+    of each chunk as it arrives."""
+    yield "n,x,y,i,j\n"
+    start = 0
+    for cells in chunks:
+        _check_cells(cells)  # the suffix lookup would take -1 as cell 15
+        yield _csv_rows(start, cells)
+        start += len(cells)
+
+
+def _check_cells(cells: np.ndarray) -> None:
+    # min/max compare without arithmetic, so no integer width can wrap.
+    if cells.min() < 0 or cells.max() > 15:
+        raise ValueError("cells must hold only canonical cell indices 0-15")
+
+
+def _integer(name: str, value: object) -> int:
+    # bool is an Integral, but True as a count or seed is a mistake.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentRecord(ChshOutcome):
     """One simulated run: a `ChshOutcome` plus its trial index n."""
@@ -138,9 +168,7 @@ class TrialSeries:
         cells = np.asarray(self.cells)
         if cells.ndim != 1 or cells.size == 0 or not np.issubdtype(cells.dtype, np.integer):
             raise ValueError(f"cells must be a non-empty 1-d integer array, got {cells.dtype}")
-        # min/max compare without arithmetic, so no integer width can wrap.
-        if cells.min() < 0 or cells.max() > 15:
-            raise ValueError("cells must hold only canonical cell indices 0-15")
+        _check_cells(cells)
         # A read-only view: a later write could put an index outside 0-15,
         # and a view leaves the caller's own array writable without a copy.
         cells = cells.astype(np.uint8, copy=False).view()
@@ -188,13 +216,14 @@ class TrialSeries:
         for n in range(len(self)):
             yield self[n]
 
+    def _chunks(self) -> Iterator[np.ndarray]:
+        for start in range(0, len(self), CHUNK):
+            yield self.cells[start : start + CHUNK]
+
     def to_csv(self) -> str:
         """Trial CSV, built one `CHUNK` of trials at a time from table
         lookups: digit words of each index and one of 16 cell suffixes."""
-        chunks = ["n,x,y,i,j\n"]
-        for start in range(0, len(self), CHUNK):
-            chunks.append(_csv_rows(start, self.cells[start : start + CHUNK]))
-        return "".join(chunks)
+        return "".join(trial_csv(self._chunks()))
 
     def to_binary(self) -> bytes:
         return _BYTE_OF_CELL[self.cells].tobytes()
@@ -208,35 +237,51 @@ def decode_binary(blob: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return _CELL_X[cells], _CELL_Y[cells], _CELL_I[cells], _CELL_J[cells]
 
 
-def sample(measure: JointMeasure, n: int, seed: int) -> TrialSeries:
-    """Draw ``n`` independent trials from the joint measure.
+def sample_chunks(measure: JointMeasure, n: int, seed: int) -> Iterator[np.ndarray]:
+    """Draw ``n`` independent trials from the joint measure, one `CHUNK` at
+    a time: yields each chunk's cells as a fresh ``uint8`` array.
 
-    Each chunk of `CHUNK` trials uses its own Philox stream keyed by
-    (seed, chunk index).  A uniform u maps to the number of cumulative
-    thresholds at or below u among the cells before the last possible one,
-    so cells of probability 0 are never produced.
+    Chunk c uses its own Philox stream keyed by (seed, c).  A uniform u maps
+    to the number of cumulative thresholds at or below u among the cells
+    before the last possible one, so cells of probability 0 are never
+    produced.  ``n`` and ``seed`` are checked on the call, before the first
+    chunk is drawn.
     """
+    n, seed = _integer("n", n), _integer("seed", seed)
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     probs = measure.probs
-    cdf = np.cumsum(probs)
-    # Rounding can leave cdf[-1] < 1; a uniform at or above it goes to the
-    # last cell that can occur, not to cell 15 when that cell has probability 0.
-    last = int(np.flatnonzero(probs)[-1])
-    cells = np.zeros(n, dtype=np.uint8)
-    for chunk in range(0, n, CHUNK):
-        count = min(CHUNK, n - chunk)
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([seed, chunk // CHUNK], dtype=np.uint64))
-        )
-        u = gen.random(count)
-        # cdf is nondecreasing, so this count equals searchsorted(cdf, u,
-        # side="right") capped at last, with the same float comparisons.
-        out = cells[chunk : chunk + count]
-        for threshold in cdf[:last]:
-            out += u >= threshold
+    # Rounding can leave the last cumulative sum below 1; a uniform at or
+    # above it goes to the last cell that can occur, not to cell 15 when
+    # that cell has probability 0.
+    thresholds = np.cumsum(probs)[: np.flatnonzero(probs)[-1]]
+
+    def chunks() -> Iterator[np.ndarray]:
+        for start in range(0, n, CHUNK):
+            gen = np.random.Generator(
+                np.random.Philox(key=np.array([seed, start // CHUNK], dtype=np.uint64))
+            )
+            u = gen.random(min(CHUNK, n - start))
+            # The thresholds are nondecreasing, so this count equals
+            # searchsorted(cdf, u, side="right") capped at the last possible
+            # cell, with the same float comparisons.
+            cells = np.zeros(u.size, dtype=np.uint8)
+            for threshold in thresholds:
+                cells += u >= threshold
+            yield cells
+
+    return chunks()
+
+
+def sample(measure: JointMeasure, n: int, seed: int) -> TrialSeries:
+    """Draw ``n`` independent trials from the joint measure: the chunks of
+    `sample_chunks` in one series."""
+    chunks = sample_chunks(measure, n, seed)
+    cells = np.empty(n, dtype=np.uint8)
+    for start, chunk in zip(range(0, n, CHUNK), chunks):
+        cells[start : start + CHUNK] = chunk
     return TrialSeries(cells=cells, seed=seed, measure_digest=measure.digest())
 
 
@@ -252,9 +297,7 @@ class EmpiricalMeasure:
         if counts.shape != (16,) or not np.issubdtype(counts.dtype, np.integer):
             raise ValueError("counts must be 16 integers, one per canonical cell")
         counts = counts.astype(np.int64)  # a uint64 count past int64 turns negative below
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        if self.n < 1:
+        if _integer("n", self.n) < 1:
             raise ValueError("an empirical measure needs at least one trial")
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
@@ -271,12 +314,14 @@ class EmpiricalMeasure:
         return int(self.counts[OUTCOME_ORDER.index(ChshOutcome(x=x, y=y, i=i, j=j))])
 
 
-def empirical_measure(series: TrialSeries) -> EmpiricalMeasure:
-    """Cell counts of a series, added up one `CHUNK` of trials at a time."""
+def empirical_measure(trials: TrialSeries | Iterable[np.ndarray]) -> EmpiricalMeasure:
+    """Cell counts of a series, or of chunks of cells such as `sample_chunks`
+    yields, added up one chunk at a time."""
+    chunks = trials._chunks() if isinstance(trials, TrialSeries) else trials
     counts = np.zeros(16, dtype=np.int64)
-    for start in range(0, len(series), CHUNK):
-        counts += np.bincount(series.cells[start : start + CHUNK], minlength=16)
-    return EmpiricalMeasure(counts=counts, n=len(series))
+    for cells in chunks:
+        counts += np.bincount(cells, minlength=16)
+    return EmpiricalMeasure(counts=counts, n=int(counts.sum()))
 
 
 def empirical_partial_expectation(empirical: EmpiricalMeasure, i: int, j: int) -> float:

@@ -1,12 +1,16 @@
 """Exercises every subcommand through main(), plus config handling and exit codes."""
 
+import contextlib
 import json
 import math
+import os
+import tracemalloc
 
 import pytest
 
 from bellmodel import __version__, cli
 from bellmodel.cli import main
+from bellmodel.montecarlo import CHUNK
 from bellmodel.probspace import chsh_measure
 from bellmodel.singlet import TSIRELSON_ANGLES
 
@@ -177,6 +181,31 @@ class TestSample:
         code, _, err = run(capsys, "sample", "--n", "zero")
         assert code == 2
         assert "must be an integer" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    @pytest.mark.parametrize("bad", [("--n", "0"), ("--seed", "-1")])
+    def test_bad_value_writes_nothing(self, capsys, fmt, bad):
+        """The stream is checked before its first piece: no partial header."""
+        code, out, err = run(capsys, "sample", *bad, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert one_error_line(err)
+
+    # cli.main at 64 chunks: the json and table bounds are half the 4 MB the
+    # run's cells would take, and the CSV bound is far below its 70 MB of text.
+    @pytest.mark.parametrize("fmt, bound_mb", [("json", 2), ("table", 2), ("csv", 8)])
+    def test_peak_memory_bounded(self, fmt, bound_mb):
+        argv = ["sample", "--n", str(64 * CHUNK), "--seed", "3", "--format", fmt]
+        with open(os.devnull, "w", encoding="ascii") as sink:
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(sink):
+                    code = main(argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < bound_mb * 2**20
 
 
 class TestConfigFile:

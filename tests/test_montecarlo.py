@@ -22,6 +22,8 @@ from bellmodel.montecarlo import (
     empirical_measure,
     empirical_partial_expectation,
     sample,
+    sample_chunks,
+    trial_csv,
 )
 from bellmodel.probspace import (
     COLUMN_ORDER,
@@ -295,6 +297,53 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(m, 10, seed=2**64)
 
+    # A float or bool seed used to run as the truncated integer while the
+    # series recorded the value given; a float or bool n failed in numpy.
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"n": True},
+            {"n": 2.0},
+            {"n": np.float64(3.0)},
+            {"n": np.True_},
+            {"seed": 1.5},
+            {"seed": 1.0},
+            {"seed": True},
+            {"seed": np.True_},
+            {"seed": np.float64(2.0)},
+        ],
+        ids=lambda bad: "{}={!r}".format(*next(iter(bad.items()))),
+    )
+    @pytest.mark.parametrize("draw", [sample, sample_chunks])
+    def test_non_integer_n_or_seed_rejected(self, draw, bad):
+        args = {"n": 10, "seed": 1, **bad}
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            draw(chsh_measure(TSIRELSON_ANGLES), **args)
+
+    def test_numpy_integers_accepted(self):
+        m = chsh_measure(TSIRELSON_ANGLES)
+        series = sample(m, np.int64(100), seed=np.uint64(2**64 - 1))
+        np.testing.assert_array_equal(series.cells, sample(m, 100, seed=2**64 - 1).cells)
+
+    def test_bad_seed_rejected_before_allocation(self):
+        m = chsh_measure(TSIRELSON_ANGLES)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^seed must be an integer"):
+                sample(m, 32 * CHUNK, seed=1.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < CHUNK
+
+    @pytest.mark.parametrize("bad", [{"n": 0}, {"seed": -1}, {"seed": 2**64}])
+    def test_chunks_checked_on_the_call(self, bad):
+        """A bad value raises before the first chunk is asked for, so a
+        stream never starts."""
+        with pytest.raises(ValueError):
+            sample_chunks(chsh_measure(TSIRELSON_ANGLES), **{"n": 10, "seed": 1, **bad})
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -371,6 +420,86 @@ class TestSampling:
             tracemalloc.stop()
         assert len(series) == n
         assert peak < n + 3 * 8 * CHUNK
+
+
+#: Measures for the streaming checks: the default table, one with whole
+#: zero columns in the middle, one whose last cells have probability 0, and
+#: one whose cumulative sum also ends below 1.
+STREAM_MEASURES = {
+    "tsirelson": chsh_measure(TSIRELSON_ANGLES),
+    "zero-middle": chsh_measure(TSIRELSON_ANGLES, SettingsDistribution(0.5, 0.5, 0.0, 0.0)),
+    "zero-last": chsh_measure(TSIRELSON_ANGLES, SettingsDistribution(0.5, 0.0, 0.5, 0.0)),
+    "short-cdf": measure_from_weights(SHORT_CDF_CELLS),
+}
+
+
+def check_stream(m, n, seed):
+    """The chunk stream, the CSV written from it and the counts taken from
+    it all agree with the series `sample` returns."""
+    series = sample(m, n, seed=seed)
+    chunks = list(sample_chunks(m, n, seed))
+    assert [len(c) for c in chunks] == [min(CHUNK, n - s) for s in range(0, n, CHUNK)]
+    assert all(c.dtype == np.uint8 for c in chunks)
+    np.testing.assert_array_equal(np.concatenate(chunks), series.cells)
+    pieces = list(trial_csv(sample_chunks(m, n, seed)))
+    assert pieces[0] == "n,x,y,i,j\n" and len(pieces) == 1 + len(chunks)
+    assert "".join(pieces) == series.to_csv()
+    np.testing.assert_array_equal(
+        empirical_measure(sample_chunks(m, n, seed)).counts, empirical_measure(series).counts
+    )
+    assert empirical_measure(sample_chunks(m, n, seed)).n == n
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("name", STREAM_MEASURES)
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_stream_matches_series(self, n, name):
+        check_stream(STREAM_MEASURES[name], n, seed=n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(STREAM_MEASURES)),
+        n=st.integers(1, 3 * CHUNK),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_stream_matches_series_property(self, name, n, seed):
+        check_stream(STREAM_MEASURES[name], n, seed)
+
+    def test_chunks_are_fresh_arrays(self):
+        chunks = list(sample_chunks(chsh_measure(TSIRELSON_ANGLES), 3 * CHUNK, seed=4))
+        assert all(c.flags.writeable and c.base is None for c in chunks)
+        assert not np.shares_memory(chunks[0], chunks[1])
+
+    @pytest.mark.parametrize(
+        "bad", [np.array([3, -1], dtype=np.int8), np.array([16]), np.array([0, 2**63 - 1])]
+    )
+    def test_csv_rejects_non_cells(self, bad):
+        pieces = trial_csv([np.array([0, 1], dtype=np.uint8), bad])
+        assert next(pieces) == "n,x,y,i,j\n" and next(pieces) == "0,1,1,0,0\n1,-1,1,0,0\n"
+        with pytest.raises(ValueError, match="^cells must hold only"):
+            next(pieces)
+
+    def test_counts_any_chunks(self):
+        emp = empirical_measure([np.array([0, 15, 15], dtype=np.uint8), np.array([3])])
+        assert emp.n == 4
+        assert emp.counts.tolist() == [1, 0, 0, 1] + [0] * 11 + [2]
+        with pytest.raises(ValueError, match="at least one trial"):
+            empirical_measure(iter([]))
+
+    def test_stream_peak_memory_bounded(self):
+        """Drawing and counting a long run holds one chunk at a time: its
+        uniforms and cells, and the wider copy of the cells that bincount
+        makes, about 17 bytes per trial of a chunk and nothing per trial of
+        the run."""
+        m = chsh_measure(TSIRELSON_ANGLES)
+        tracemalloc.start()
+        try:
+            emp = empirical_measure(sample_chunks(m, 64 * CHUNK, seed=6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert emp.n == 64 * CHUNK
+        assert peak < 20 * CHUNK
 
 
 class TestSerialization:
