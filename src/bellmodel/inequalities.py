@@ -16,6 +16,9 @@ three setting pairs sharing an orientation (a1 = b0 = the shared angle):
 
 Its derivation needs the perfect anti-correlation at equal orientations,
 so the identically-oriented pair (a1, b0) must have setting probability 0.
+
+Every term is read from the measure's (row, i, j) table: a partial term sums
+x * y * p over column (i, j), a conditional term divides that by the column's mass.
 """
 
 from __future__ import annotations
@@ -25,15 +28,12 @@ from dataclasses import asdict, dataclass
 
 from .probspace import (
     COLUMN_ORDER,
+    ROW_ORDER,
     STRATEGY_ANSWERS,
     JointMeasure,
     SettingsDistribution,
     ZeroProbabilityError,
     chsh_measure,
-    conditional_expectation,
-    outcome_product,
-    partial_expectation,
-    setting_event,
 )
 from .singlet import DetectorAngle
 
@@ -103,6 +103,11 @@ class ChshReport:
         }
 
 
+def _partial_term(measure: JointMeasure, i: int, j: int) -> float:
+    """E_{a_i, b_j}[XY]: x * y * p summed over column (i, j) of the measure's table."""
+    return math.fsum(x * y * p for (x, y), p in zip(ROW_ORDER, measure.table[:, i, j].tolist()))
+
+
 def _chsh_report(terms: list[float]) -> ChshReport:
     terms = tuple(terms)
     combined = chsh_combination(terms)
@@ -120,14 +125,14 @@ def chsh_conditional(measure: JointMeasure) -> ChshReport:
     Every setting pair must have positive probability; conditioning on a
     never-used pair is undefined.
     """
-    xy = outcome_product()
     terms = []
     for (i, j) in COLUMN_ORDER:
-        if measure.settings.probability(i, j) <= 0.0:
+        mass = math.fsum(measure.table[:, i, j].tolist())
+        if measure.settings.probability(i, j) <= 0.0 or mass <= 0.0:
             raise ZeroProbabilityError(
                 f"setting pair (a{i}, b{j}) has probability zero; its conditional term is undefined"
             )
-        terms.append(conditional_expectation(measure.space, xy, setting_event(i, j)))
+        terms.append(_partial_term(measure, i, j) / mass)
     return _chsh_report(terms)
 
 
@@ -137,9 +142,7 @@ def chsh_partial(measure: JointMeasure) -> ChshReport:
     Defined for every measure; each term is the conditional term scaled by
     its setting probability, so the combination never exceeds 2.
     """
-    xy = outcome_product()
-    terms = [partial_expectation(measure.space, xy, setting_event(i, j)) for (i, j) in COLUMN_ORDER]
-    return _chsh_report(terms)
+    return _chsh_report([_partial_term(measure, i, j) for (i, j) in COLUMN_ORDER])
 
 
 def realism_table_check() -> list[int]:
@@ -187,10 +190,7 @@ def bell_original(
             "its runs would always anti-correlate"
         )
     measure = chsh_measure((angle_a0, shared, shared, angle_b1), settings)
-    neg_xy = -outcome_product()
-    t00 = partial_expectation(measure.space, neg_xy, setting_event(0, 0))
-    t01 = partial_expectation(measure.space, neg_xy, setting_event(0, 1))
-    t11 = partial_expectation(measure.space, neg_xy, setting_event(1, 1))
+    t00, t01, t11 = (-_partial_term(measure, i, j) for (i, j) in ((0, 0), (0, 1), (1, 1)))
     lhs = abs(t00 - t01)
     rhs = 1.0 + t11
     return BellReport(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs + _TOL)

@@ -26,8 +26,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .probspace import COLUMN_ORDER, ROW_ORDER, STRATEGY_ANSWERS, JointMeasure
-from .singlet import DetectorAngle, conditional_joint_probs
+from .probspace import (
+    COLUMN_ORDER, ROW_ORDER, STRATEGY_ANSWERS, JointMeasure, _integer, chsh_measure
+)
+# `conditional_joint_probs` is not called here, `chsh_measure` is.  It stays
+# importable as bellmodel.lhv.conditional_joint_probs, a name only bench/layers.py looks up.
+from .singlet import DetectorAngle, conditional_joint_probs  # noqa: F401
 
 __all__ = [
     "FourierWitnessReport",
@@ -103,21 +107,18 @@ def no_signaling_report(measure: JointMeasure) -> NoSignalingReport:
     skipped = tuple(
         (i, j) for (i, j) in sorted(COLUMN_ORDER) if measure.settings.probability(i, j) <= 0.0
     )
-    usable = {pair for pair in COLUMN_ORDER if pair not in skipped}
+    table = measure.table
+    # [outcome +1 / -1][i][j]: rows (x, +1) + (x, -1) for A, (+1, y) + (-1, y) for B
+    a_marginals = (table[[0, 1]] + table[[2, 3]]).tolist()
+    b_marginals = (table[[0, 2]] + table[[1, 3]]).tolist()
 
     for (i, j) in sorted(COLUMN_ORDER):
-        column = measure.column(i, j)
-        p_ij = measure.settings.probability(i, j)
-        for x in (1, -1):
-            jm = column[(x, 1)] + column[(x, -1)]
-            joint[("A", x, i, j)] = jm
-            if (i, j) in usable:
-                cond[("A", x, i, j)] = jm / p_ij
-        for y in (1, -1):
-            jm = column[(1, y)] + column[(-1, y)]
-            joint[("B", y, j, i)] = jm
-            if (i, j) in usable:
-                cond[("B", y, j, i)] = jm / p_ij
+        for party, marginals, own, other in (("A", a_marginals, i, j), ("B", b_marginals, j, i)):
+            for k, outcome in enumerate((1, -1)):
+                key = (party, outcome, own, other)
+                joint[key] = marginals[k][i][j]
+                if (i, j) not in skipped:
+                    cond[key] = joint[key] / measure.settings.probability(i, j)
 
     deviations: dict[tuple[str, int, int], float] = {}
     for party in ("A", "B"):
@@ -208,6 +209,7 @@ def factorizability_fit(
     no start ends worse than it began.  Requires uniform settings: the
     product form fixes every setting-pair probability at 1/4.
     """
+    grid_points, restarts = _integer("grid_points", grid_points), _integer("restarts", restarts)
     if not measure.settings.is_uniform():
         raise ValueError("factorizability fit requires uniform settings (each pair 1/4)")
     if grid_points < 2:
@@ -278,6 +280,7 @@ def fourier_witness_check(grid_size: int = 10000) -> FourierWitnessReport:
     ``grid_size`` is the number of midpoint nodes (at least 100).  The
     coefficient function is c(lambda) = sqrt(pi/2) * exp(2*pi*i*lambda).
     """
+    grid_size = _integer("grid_size", grid_size)
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
     lam = (np.arange(grid_size) + 0.5) / grid_size
@@ -447,21 +450,6 @@ class SeparabilityResult:
             ],
             "model": self.model.as_dict(),
         }
-
-
-def _conditional_target(
-    angles: tuple[DetectorAngle, DetectorAngle, DetectorAngle, DetectorAngle],
-) -> np.ndarray:
-    """Target conditional table, shape (4 rows, 2, 2) = (row, i, j)."""
-    a = angles[:2]
-    b = angles[2:]
-    target = np.empty((4, 2, 2))
-    for i in (0, 1):
-        for j in (0, 1):
-            cond = conditional_joint_probs(a[i], b[j])
-            for row, xy in enumerate(ROW_ORDER):
-                target[row, i, j] = cond[xy]
-    return target
 
 
 def _pack(p: np.ndarray, q: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -637,7 +625,9 @@ def m_separability_search(
     """Search for a hidden-variable model minimizing the worst cell deviation.
 
     The target is the conditional table p(x, y | a_i, b_j) at the given
-    orientations (a0, a1, b0, b1).  Every local model predicts a convex
+    orientations (a0, a1, b0, b1): the `chsh_measure` table under uniform
+    settings, times 4.  Scaling by 1/4 and back is exact unless a cell is
+    subnormal.  Every local model predicts a convex
     mixture of the 16 deterministic strategies (Fine's theorem), so a linear
     program over the mixture weights gives the exact optimum over all local
     models.  Call the number of strategies with nonzero weight in its
@@ -666,9 +656,8 @@ def m_separability_search(
     columns; ``restrict_outcome`` restricts them to one (x, y) row.  By
     default every cell of every column counts.
     """
-    angles = tuple(angles)
-    if len(angles) != 4:
-        raise ValueError(f"expected 4 angles (a0, a1, b0, b1), got {len(angles)}")
+    grid_size, restarts = _integer("grid_size", grid_size), _integer("restarts", restarts)
+    seed = _integer("seed", seed)
     if grid_size < 1:
         raise ValueError("grid_size must be at least 1")
     if restarts < 0:
@@ -684,7 +673,7 @@ def m_separability_search(
     if restrict_outcome is not None and restrict_outcome not in ROW_ORDER:
         raise ValueError(f"unknown outcome pair {restrict_outcome!r}")
 
-    target = _conditional_target(angles)
+    target = chsh_measure(angles).table * 4.0
     mask = np.zeros((4, 2, 2), dtype=bool)
     rows = range(4) if restrict_outcome is None else [ROW_ORDER.index(restrict_outcome)]
     for row in rows:

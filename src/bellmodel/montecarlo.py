@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .probspace import CELL_INDEX, OUTCOME_ORDER, ROW_ORDER, ChshOutcome, JointMeasure
+from .probspace import CELL_INDEX, OUTCOME_ORDER, ROW_ORDER, ChshOutcome, JointMeasure, _integer
 
 __all__ = [
     "CHUNK",
@@ -130,13 +129,6 @@ def _check_cells(cells: np.ndarray) -> None:
     # min/max compare without arithmetic, so no integer width can wrap.
     if cells.min() < 0 or cells.max() > 15:
         raise ValueError("cells must hold only canonical cell indices 0-15")
-
-
-def _integer(name: str, value: object) -> int:
-    # bool is an Integral, but True as a count or seed is a mistake.
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,13 @@ The partial flavor keeps the absolute weight of A: it is additive over a
 partition of Omega, it vanishes on null events instead of being undefined,
 and conditional = partial / P[A] whenever P[A] > 0.
 
-The same machinery hosts the four-setting two-outcome experiment: a
-`JointMeasure` is a distribution over the 16 points (x, y, i, j) where
-(x, y) are the two detector outcomes and (i, j) pick which of the two
-orientations each detector used on that run.
+The four-setting two-outcome experiment is a `JointMeasure`: a distribution
+over the 16 points (x, y, i, j) where (x, y) are the two detector outcomes
+and (i, j) pick which of the two orientations each detector used on that
+run.  Its `table` lays the 16 weights out as (row, i, j), one column per
+setting pair, and every analysis of the experiment reads that table: the
+partial expectation E_{a_i, b_j}[XY] is a sum over column (i, j).  The
+generic machinery above stays the reference those sums are tested against.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,6 +63,13 @@ _ATOL = 1e-12
 
 class ZeroProbabilityError(ValueError):
     """Raised when conditioning on an event of probability zero."""
+
+
+def _integer(name: str, value: object) -> int:
+    # bool is an Integral, but True as a size, count or seed is a mistake.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def sig17(value: float) -> str:
@@ -311,6 +322,13 @@ def setting_event(i: int, j: int) -> Event:
     return Event(lambda o: o.i == i and o.j == j)
 
 
+def _detector_angles(angles: Iterable[DetectorAngle]) -> tuple[DetectorAngle, ...]:
+    angles = tuple(angles)
+    if len(angles) != 4 or not all(isinstance(a, DetectorAngle) for a in angles):
+        raise ValueError("angles must be 4 DetectorAngle values (a0, a1, b0, b1)")
+    return angles
+
+
 @dataclass(frozen=True, eq=False)
 class JointMeasure:
     """Distribution over the 16 points (x, y, i, j) of the four-setting experiment.
@@ -324,9 +342,7 @@ class JointMeasure:
     settings: SettingsDistribution
 
     def __post_init__(self) -> None:
-        if len(self.angles) != 4 or not all(isinstance(a, DetectorAngle) for a in self.angles):
-            raise ValueError("angles must be 4 DetectorAngle values (a0, a1, b0, b1)")
-        object.__setattr__(self, "angles", tuple(self.angles))
+        object.__setattr__(self, "angles", _detector_angles(self.angles))
         if self.space.outcomes != OUTCOME_ORDER:
             raise ValueError("the space must enumerate the 16 points in canonical order")
         table = self.table
@@ -437,9 +453,7 @@ def chsh_measure(
 
     ``angles`` are (a0, a1, b0, b1); ``settings`` defaults to uniform.
     """
-    angles = tuple(angles)
-    if len(angles) != 4:
-        raise ValueError(f"expected 4 angles (a0, a1, b0, b1), got {len(angles)}")
+    angles = _detector_angles(angles)
     if settings is None:
         settings = SettingsDistribution.uniform()
     a = angles[:2]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bellmodel.inequalities import (
     BELL_TEST_ANGLES,
@@ -18,7 +20,18 @@ from bellmodel.inequalities import (
     chsh_partial,
     realism_table_check,
 )
-from bellmodel.probspace import SettingsDistribution, ZeroProbabilityError, chsh_measure
+from bellmodel.probspace import (
+    COLUMN_ORDER,
+    OUTCOME_ORDER,
+    JointMeasure,
+    SettingsDistribution,
+    ZeroProbabilityError,
+    chsh_measure,
+    conditional_expectation,
+    outcome_product,
+    partial_expectation,
+    setting_event,
+)
 from bellmodel.singlet import TSIRELSON_ANGLES, DetectorAngle
 
 SQRT2 = math.sqrt(2.0)
@@ -105,6 +118,71 @@ class TestChshPartial:
             report = chsh_partial(chsh_measure(angles, settings))
             assert report.combined_value <= CHSH_BOUND + 1e-12
             assert report.satisfied
+
+
+@st.composite
+def joint_measures(draw):
+    """Random 16-cell measures; any of the four setting pairs may have probability 0."""
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16))
+    empty = draw(st.sets(st.sampled_from(COLUMN_ORDER), max_size=3))
+    raw = [0.0 if (o.i, o.j) in empty else w for o, w in zip(OUTCOME_ORDER, raw)]
+    total = math.fsum(raw)
+    if total == 0.0:
+        raw, total = [1.0] * 16, 16.0
+    weights = [w / total for w in raw]
+    settings = SettingsDistribution.from_mapping(
+        {
+            (i, j): math.fsum(w for o, w in zip(OUTCOME_ORDER, weights) if (o.i, o.j) == (i, j))
+            for (i, j) in COLUMN_ORDER
+        }
+    )
+    return JointMeasure.from_probabilities(TSIRELSON_ANGLES, settings, weights)
+
+
+class TestTableMatchesGenericExpectations:
+    """The evaluators read the (row, i, j) table; the generic expectations over
+    ``measure.space`` are their reference, bit for bit."""
+
+    @given(joint_measures())
+    def test_chsh_terms(self, measure):
+        xy = outcome_product()
+        events = [setting_event(i, j) for (i, j) in COLUMN_ORDER]
+        partial = [partial_expectation(measure.space, xy, event) for event in events]
+        assert list(chsh_partial(measure).term_values) == partial
+        if all(measure.settings.probability(i, j) > 0.0 for (i, j) in COLUMN_ORDER):
+            conditional = [conditional_expectation(measure.space, xy, event) for event in events]
+            assert list(chsh_conditional(measure).term_values) == conditional
+        else:
+            with pytest.raises(ZeroProbabilityError):
+                chsh_conditional(measure)
+
+    @given(
+        st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+        st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda p: sum(p) > 0.0),
+    )
+    def test_bell_terms(self, raw_angles, raw_settings):
+        a0, shared, b1 = (DetectorAngle(a) for a in raw_angles)
+        p00, p01, p11 = (p / math.fsum(raw_settings) for p in raw_settings)
+        settings = SettingsDistribution(p00, p01, 0.0, p11)
+        measure = chsh_measure((a0, shared, shared, b1), settings)
+        neg_xy = -outcome_product()
+        t00, t01, t11 = (
+            partial_expectation(measure.space, neg_xy, setting_event(i, j))
+            for (i, j) in ((0, 0), (0, 1), (1, 1))
+        )
+        report = bell_original(a0, shared, b1, settings)
+        assert (report.lhs, report.rhs) == (abs(t00 - t01), 1.0 + t11)
+
+    @pytest.mark.parametrize("column_mass, stated", [(0.0, 1e-13), (1e-13, 0.0)])
+    def test_conditional_needs_column_and_setting_mass(self, column_mass, stated):
+        # a stated setting probability may be up to 1e-12 away from its column's
+        # mass; the (a0, b0) term is undefined when either of the two is zero
+        cells = {(1, 1, 0, 0): column_mass, (1, 1, 0, 1): 0.25, (1, 1, 1, 0): 0.25}
+        cells[(1, 1, 1, 1)] = 0.5 - column_mass
+        settings = SettingsDistribution(stated, 0.25, 0.25, 0.5 - stated)
+        measure = JointMeasure.from_probabilities(TSIRELSON_ANGLES, settings, cells)
+        with pytest.raises(ZeroProbabilityError, match=r"\(a0, b0\) has probability zero"):
+            chsh_conditional(measure)
 
 
 class TestChshReport:

@@ -446,6 +446,10 @@ class TestSeparabilitySearch:
         with pytest.raises(ValueError):
             m_separability_search(TSIRELSON_ANGLES[:2])
 
+    def test_rejects_plain_float_angles(self):
+        with pytest.raises(ValueError, match=r"^angles must be 4 DetectorAngle values \(a0, a1"):
+            m_separability_search((0.0, 0.5, 1.0, 1.5), grid_size=2, restarts=0)
+
     def test_result_consistency_enforced(self):
         good = m_separability_search(TSIRELSON_ANGLES, grid_size=2, restarts=0, seed=0)
         with pytest.raises(ValueError):
@@ -615,6 +619,42 @@ class TestSearchVector:
             np.testing.assert_array_equal(rho, raw / raw.sum())
         else:
             np.testing.assert_array_equal(rho, np.full(size, 1.0 / size))
+
+
+@pytest.mark.parametrize(
+    "function, argument, value",
+    [
+        (fourier_witness_check, "grid_size", 100.5),
+        (fourier_witness_check, "grid_size", 1e4),
+        (fourier_witness_check, "grid_size", True),
+        (factorizability_fit, "grid_points", 2.5),
+        (factorizability_fit, "restarts", 2.5),
+        (factorizability_fit, "restarts", True),
+        (m_separability_search, "grid_size", 2.5),
+        (m_separability_search, "restarts", 2.5),
+        (m_separability_search, "restarts", True),
+        (m_separability_search, "seed", 1.5),
+        (m_separability_search, "seed", True),
+    ],
+)
+def test_sizes_and_seeds_must_be_integers(monkeypatch, function, argument, value):
+    def no_lp(*_args, **_kwargs):
+        raise AssertionError("the LP ran before the argument was checked")
+
+    monkeypatch.setattr(lhv, "linprog", no_lp)
+    positional = {
+        fourier_witness_check: (),
+        factorizability_fit: (chsh_measure(TSIRELSON_ANGLES),),
+        m_separability_search: (TSIRELSON_ANGLES,),
+    }[function]
+    with pytest.raises(ValueError, match=f"^{argument} must be an integer, got {value!r}$"):
+        function(*positional, **{argument: value})
+
+
+def test_numpy_integer_sizes_become_int():
+    report = fourier_witness_check(grid_size=np.int64(100))
+    assert type(report.grid_size) is int and report.grid_size == 100
+    assert json.loads(json.dumps(report.as_dict()))["grid_size"] == 100
 
 
 class TestSeedValidation:

@@ -301,6 +301,11 @@ class TestChshMeasure:
         with pytest.raises(ValueError):
             chsh_measure(TSIRELSON_ANGLES[:3])
 
+    @pytest.mark.parametrize("angles", [(0.0, 0.5, 1.0, 1.5), TSIRELSON_ANGLES[:3] + (0.3,)])
+    def test_rejects_plain_float_angles(self, angles):
+        with pytest.raises(ValueError, match=r"^angles must be 4 DetectorAngle values \(a0, a1"):
+            chsh_measure(angles)
+
     def test_conditional_column_recovers_born_probs(self):
         a0, a1, b0, b1 = TSIRELSON_ANGLES
         cond = self.measure.conditional_column(0, 1)

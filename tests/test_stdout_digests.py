@@ -13,6 +13,8 @@ from bellmodel.cli import main
 
 JITTERED = "--angles=0.01,1.6,0.8,-0.75"
 SKEWED = ("--settings", "0.1,0.2,0.3,0.4")
+#: (a0, shared, b1) and settings of a `bell` run other than the built-in example
+BELL_OFF_DEFAULT = ("--angles", "0.1,0.9,2.5", "--settings", "0.2,0.5,0,0.3")
 
 PINNED = [
     (("measure", "--format", "csv"),
@@ -33,12 +35,25 @@ PINNED = [
      "35470846c0ed736a0999a106618c1bc0fc36d3c396eadfbad2e79e7d49ffbecc"),
     (("chsh", JITTERED, *SKEWED, "--mode", "partial", "--format", "json"),
      "32d8f41d0ef0169aced5489f80529d18365dca27b6250f19f8aaddb39d491d36"),
+    (("chsh", "--mode", "conditional", "--format", "table"),
+     "001fe18b95da58f63f95b77f015940edee0524b1f926b989ee069912917d269c"),
+    (("chsh", "--mode", "partial", "--format", "table"),
+     "8ee95c60544e3e81c219d4891c73495bc5e645074a9b47b763388e731607bab0"),
+    (("chsh", JITTERED, *SKEWED, "--mode", "conditional", "--format", "json"),
+     "1a42b7baebcf677258318e799c3ca3e37c7533df821f94d0956007fd83472689"),
     (("nosignal", "--format", "json"),
      "ed1abbe3162285afe33bae7df4ea3f652b2c5a1257226c528d0528ed8ca8539b"),
     (("nosignal", JITTERED, "--settings", "0.5,0,0.25,0.25", "--format", "json"),
      "3fa29a7f349741e1b14ce3f98425590753a7d4749b49456cc9d987b0a6613aca"),
+    # the (a0, b1) pair has probability 0, so the table lists it as skipped
+    (("nosignal", JITTERED, "--settings", "0.5,0,0.25,0.25", "--format", "table"),
+     "f0c9bce025b70555fe7e19bd1b276a05adcdaf99353fcb956773bef01e8daf12"),
     (("bell", "--format", "json"),
      "35fb92d354fcfcaf8f2428fe867fa04bf00ffa5f51dd591fdfc06dc7eb4c93ca"),
+    (("bell", *BELL_OFF_DEFAULT, "--format", "json"),
+     "d3fed3c649d0cacf840ee6bd855f0f40e9e38c02a875b0064b6c585344cd26f5"),
+    (("bell", *BELL_OFF_DEFAULT, "--format", "table"),
+     "b70e4cb8f18db435687d2e8bcc86a0802f3d4dc7ade2c708f4096517fdf7ae4e"),
     (("factorize", "--format", "json"),
      "a73f4e350c406d7e8702a036fe8f0c3176fa7c3701b146cf80be412d84216010"),
     (("factorize", JITTERED, "--format", "table"),
