@@ -27,7 +27,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .probspace import (
-    COLUMN_ORDER, ROW_ORDER, STRATEGY_ANSWERS, JointMeasure, _integer, chsh_measure
+    COLUMN_ORDER, ROW_ORDER, STRATEGY_ANSWERS, JointMeasure, _integer, _seed, _setting_pair,
+    chsh_measure,
 )
 # `conditional_joint_probs` is not called here, `chsh_measure` is.  It stays
 # importable as bellmodel.lhv.conditional_joint_probs, a name only bench/layers.py looks up.
@@ -400,14 +401,14 @@ def _predicted_table(rho: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarra
 
 def lhv_predicted_probs(model: LHVModel, i: int, j: int) -> dict[tuple[int, int], float]:
     """Model prediction for p(x, y | a_i, b_j)."""
-    if i not in (0, 1) or j not in (0, 1):
-        raise ValueError(f"setting indices must be 0 or 1, got ({i!r}, {j!r})")
+    _setting_pair(i, j)
     pred = _predicted_table(model.rho, model.p_response, model.q_response)
     return {xy: float(pred[row, i, j]) for row, xy in enumerate(ROW_ORDER)}
 
 
 def lhv_correlation(model: LHVModel, i: int, j: int) -> float:
     """E[XY | a_i, b_j] under the model: sum over lambda of rho*(2p-1)*(1-2q)."""
+    _setting_pair(i, j)
     p = model.p_response[i]
     q = model.q_response[j]
     return float(np.sum(model.rho * (2.0 * p - 1.0) * (1.0 - 2.0 * q)))
@@ -418,7 +419,7 @@ class SeparabilityResult:
     """Outcome of the m-separability search.
 
     ``m_hat`` is the largest absolute deviation between the model's
-    predictions and the target over the compared cells, i.e. the max of
+    predictions and the target over the 16 cells, i.e. the max of
     ``per_setting_deviations``.  ``lower_bound`` is the mixture LP's dual
     objective: no local model, on any latent grid, has a worst deviation
     below it.  ``gap`` is ``m_hat - lower_bound``.  Both are None when the
@@ -467,10 +468,9 @@ def _unpack(theta: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return p, q, rho
 
 
-def _objective(theta: np.ndarray, size: int, target: np.ndarray, mask: np.ndarray) -> float:
+def _objective(theta: np.ndarray, size: int, target: np.ndarray) -> float:
     p, q, rho = _unpack(theta, size)
-    pred = _predicted_table(rho, p, q)
-    return float(np.max(np.abs(pred - target)[mask]))
+    return float(np.max(np.abs(_predicted_table(rho, p, q) - target)))
 
 
 def _pattern_search(theta: np.ndarray, fn) -> tuple[np.ndarray, float]:
@@ -563,17 +563,17 @@ def _deterministic_tables() -> np.ndarray:
     return _predicted_table(np.eye(16)[:, None, :], _STRATEGY_P, _STRATEGY_Q)
 
 
-def _solve_mixture_lp(target: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, float] | None:
+def _solve_mixture_lp(target: np.ndarray) -> tuple[np.ndarray, float] | None:
     """Mixture weights over the 16 deterministic strategies minimizing the worst deviation.
 
-    Minimizing the largest masked-cell deviation over such mixtures is a
+    Minimizing the largest cell deviation over such mixtures is a
     linear program, and its optimum is the true minimum over *all* local
     models: every local model predicts a convex mixture of the
     deterministic tables.  Returns the weights and the dual objective, a
     lower bound on that minimum, or None if the solver fails.
     """
-    columns = _deterministic_tables()[:, mask].T  # one row per compared cell
-    values = target[mask]
+    columns = _deterministic_tables().reshape(16, 16).T  # one row per cell
+    values = target.ravel()
     cost = np.zeros(17)
     cost[16] = 1.0
     # interleaved pairs: table - m <= target and -table - m <= -target
@@ -619,18 +619,16 @@ def m_separability_search(
     grid_size: int = 16,
     restarts: int = 8,
     seed: int = 0,
-    setting_pairs: tuple[tuple[int, int], ...] | None = None,
-    restrict_outcome: tuple[int, int] | None = None,
 ) -> SeparabilityResult:
     """Search for a hidden-variable model minimizing the worst cell deviation.
 
     The target is the conditional table p(x, y | a_i, b_j) at the given
     orientations (a0, a1, b0, b1): the `chsh_measure` table under uniform
-    settings, times 4.  Scaling by 1/4 and back is exact unless a cell is
-    subnormal.  Every local model predicts a convex
-    mixture of the 16 deterministic strategies (Fine's theorem), so a linear
-    program over the mixture weights gives the exact optimum over all local
-    models.  Call the number of strategies with nonzero weight in its
+    settings, times 4, and all 16 of its cells are compared.  Scaling by 1/4
+    and back is exact unless a cell is subnormal.  Every local model predicts
+    a convex mixture of the 16 deterministic strategies (Fine's theorem), so a
+    linear program over the mixture weights gives the exact optimum over all
+    local models.  Call the number of strategies with nonzero weight in its
     solution the *support*.
 
     * Exact path: when ``grid_size`` is at least the support, the LP mixture
@@ -651,36 +649,15 @@ def m_separability_search(
     The result's ``lower_bound`` is the LP's dual objective, a certificate
     that no local model on any grid does better; ``gap`` is how far
     ``m_hat`` sits above it (at most 1e-12 on the exact path).
-
-    ``setting_pairs`` restricts the compared cells to a subset of the four
-    columns; ``restrict_outcome`` restricts them to one (x, y) row.  By
-    default every cell of every column counts.
     """
     grid_size, restarts = _integer("grid_size", grid_size), _integer("restarts", restarts)
-    seed = _integer("seed", seed)
+    seed = _seed(seed)
     if grid_size < 1:
         raise ValueError("grid_size must be at least 1")
     if restarts < 0:
         raise ValueError("restarts must be nonnegative")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    pairs = tuple(setting_pairs) if setting_pairs is not None else COLUMN_ORDER
-    if not pairs:
-        raise ValueError("setting_pairs must name at least one column")
-    for pair in pairs:
-        if pair not in COLUMN_ORDER:
-            raise ValueError(f"unknown setting pair {pair!r}")
-    if restrict_outcome is not None and restrict_outcome not in ROW_ORDER:
-        raise ValueError(f"unknown outcome pair {restrict_outcome!r}")
-
     target = chsh_measure(angles).table * 4.0
-    mask = np.zeros((4, 2, 2), dtype=bool)
-    rows = range(4) if restrict_outcome is None else [ROW_ORDER.index(restrict_outcome)]
-    for row in rows:
-        for (i, j) in pairs:
-            mask[row, i, j] = True
-
-    lp = _solve_mixture_lp(target, mask)
+    lp = _solve_mixture_lp(target)
     mixture_weights, lower_bound = lp if lp is not None else (None, None)
     # At or above the support the packed mixture is the optimum up to the
     # solver's tolerance.  It is returned without search when its worst
@@ -688,12 +665,11 @@ def m_separability_search(
     best_theta: np.ndarray | None = None
     if mixture_weights is not None and grid_size >= np.count_nonzero(mixture_weights):
         packed = _mixture_start(grid_size, mixture_weights)
-        if _objective(packed, grid_size, target, mask) <= lower_bound + _ATOL:
+        if _objective(packed, grid_size, target) <= lower_bound + _ATOL:
             best_theta = packed
     if best_theta is None:
-        a_settings = sorted({i for (i, _j) in pairs})
         for size in [grid_size >> k for k in range(int(grid_size).bit_length())][::-1]:
-            fn = lambda t: _objective(t, size, target, mask)  # noqa: E731
+            fn = lambda t: _objective(t, size, target)  # noqa: E731
             starts: list[np.ndarray] = []
             if best_theta is not None:
                 starts.append(_place(size, *_unpack(best_theta, best_theta.shape[0] // 5)))
@@ -702,7 +678,7 @@ def m_separability_search(
             starts.append(_product_start(size, target))
             starts.append(np.full(5 * size, 0.5))
             if size >= 2:
-                starts.extend(_two_point_start(size, target, i) for i in a_settings)
+                starts.extend(_two_point_start(size, target, i) for i in (0, 1))
             for k in range(restarts):
                 rng = np.random.default_rng(np.random.SeedSequence((seed, size, k)))
                 starts.append(rng.random(5 * size))
@@ -723,8 +699,7 @@ def m_separability_search(
     deviations = {
         (x, y, i, j): float(abs(pred[row, i, j] - target[row, i, j]))
         for row, (x, y) in enumerate(ROW_ORDER)
-        for (i, j) in pairs
-        if mask[row, i, j]
+        for (i, j) in COLUMN_ORDER
     }
     m_hat = max(deviations.values())
     return SeparabilityResult(

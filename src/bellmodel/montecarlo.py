@@ -29,7 +29,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .probspace import CELL_INDEX, OUTCOME_ORDER, ROW_ORDER, ChshOutcome, JointMeasure, _integer
+from .probspace import (
+    CELL_INDEX, OUTCOME_ORDER, ROW_ORDER, ChshOutcome, JointMeasure, _integer, _seed, _setting_pair
+)
 
 __all__ = [
     "CHUNK",
@@ -239,11 +241,9 @@ def sample_chunks(measure: JointMeasure, n: int, seed: int) -> Iterator[np.ndarr
     produced.  ``n`` and ``seed`` are checked on the call, before the first
     chunk is drawn.
     """
-    n, seed = _integer("n", n), _integer("seed", seed)
+    n, seed = _integer("n", n), _seed(seed)
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
     probs = measure.probs
     # Rounding can leave the last cumulative sum below 1; a uniform at or
     # above it goes to the last cell that can occur, not to cell 15 when
@@ -323,8 +323,7 @@ def empirical_partial_expectation(empirical: EmpiricalMeasure, i: int, j: int) -
     The numerator is an exact integer, so summing the four setting pairs
     reproduces the overall empirical mean of x*y exactly.
     """
-    if i not in (0, 1) or j not in (0, 1):
-        raise ValueError(f"setting indices must be 0 or 1, got ({i!r}, {j!r})")
+    _setting_pair(i, j)
     counts = empirical.counts[CELL_INDEX[:, i, j]].tolist()
     return sum(x * y * c for (x, y), c in zip(ROW_ORDER, counts)) / empirical.n
 

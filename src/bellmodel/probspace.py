@@ -72,6 +72,20 @@ def _integer(name: str, value: object) -> int:
     return int(value)
 
 
+def _seed(value: object) -> int:
+    seed = _integer("seed", value)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    return seed
+
+
+def _setting_pair(i: object, j: object) -> None:
+    # `in (0, 1)` alone admits True and 1.0; numpy reads an index True as a mask.
+    if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) and k in (0, 1)
+               for k in (i, j)):
+        raise ValueError(f"setting indices must be 0 or 1, got ({i!r}, {j!r})")
+
+
 def sig17(value: float) -> str:
     """Render a float with 17 significant digits (round-trip exact)."""
     return format(float(value), ".17g")
@@ -248,10 +262,8 @@ class SettingsDistribution:
         )
 
     def probability(self, i: int, j: int) -> float:
-        try:
-            return {(0, 0): self.p00, (0, 1): self.p01, (1, 0): self.p10, (1, 1): self.p11}[(i, j)]
-        except KeyError:
-            raise ValueError(f"setting indices must be 0 or 1, got ({i!r}, {j!r})") from None
+        _setting_pair(i, j)
+        return {(0, 0): self.p00, (0, 1): self.p01, (1, 0): self.p10, (1, 1): self.p11}[(i, j)]
 
     def items(self) -> tuple[tuple[str, float], ...]:
         return (("p00", self.p00), ("p01", self.p01), ("p10", self.p10), ("p11", self.p11))
@@ -272,8 +284,7 @@ class ChshOutcome:
     def __post_init__(self) -> None:
         if self.x not in (-1, 1) or self.y not in (-1, 1):
             raise ValueError(f"outcomes must be -1 or +1, got x={self.x!r} y={self.y!r}")
-        if self.i not in (0, 1) or self.j not in (0, 1):
-            raise ValueError(f"setting indices must be 0 or 1, got i={self.i!r} j={self.j!r}")
+        _setting_pair(self.i, self.j)
 
 
 #: Setting-pair columns in table layout order.
@@ -317,8 +328,7 @@ def outcome_product() -> RandomVariable:
 
 def setting_event(i: int, j: int) -> Event:
     """The event that detector A used a_i and detector B used b_j."""
-    if i not in (0, 1) or j not in (0, 1):
-        raise ValueError(f"setting indices must be 0 or 1, got ({i!r}, {j!r})")
+    _setting_pair(i, j)
     return Event(lambda o: o.i == i and o.j == j)
 
 
@@ -327,6 +337,11 @@ def _detector_angles(angles: Iterable[DetectorAngle]) -> tuple[DetectorAngle, ..
     if len(angles) != 4 or not all(isinstance(a, DetectorAngle) for a in angles):
         raise ValueError("angles must be 4 DetectorAngle values (a0, a1, b0, b1)")
     return angles
+
+
+def _settings_distribution(settings: object) -> None:
+    if not isinstance(settings, SettingsDistribution):
+        raise ValueError(f"settings must be a SettingsDistribution, got {type(settings).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,6 +358,7 @@ class JointMeasure:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "angles", _detector_angles(self.angles))
+        _settings_distribution(self.settings)
         if self.space.outcomes != OUTCOME_ORDER:
             raise ValueError("the space must enumerate the 16 points in canonical order")
         table = self.table
@@ -395,8 +411,7 @@ class JointMeasure:
 
     def column(self, i: int, j: int) -> dict[tuple[int, int], float]:
         """Joint weights p(x, y, i, j) of one setting-pair column."""
-        if (i, j) not in COLUMN_ORDER:
-            raise ValueError(f"setting indices must be 0 or 1, got ({i!r}, {j!r})")
+        _setting_pair(i, j)
         return {xy: self.space.weights[CELL_INDEX[row, i, j]] for row, xy in enumerate(ROW_ORDER)}
 
     def conditional_column(self, i: int, j: int) -> dict[tuple[int, int], float]:
@@ -456,6 +471,7 @@ def chsh_measure(
     angles = _detector_angles(angles)
     if settings is None:
         settings = SettingsDistribution.uniform()
+    _settings_distribution(settings)
     a = angles[:2]
     b = angles[2:]
     weights = []

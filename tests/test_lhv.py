@@ -391,18 +391,6 @@ class TestSeparabilitySearch:
         result = m_separability_search(FLAT_ANGLES, grid_size=4, restarts=2, seed=0)
         assert result.m_hat <= 1e-6
 
-    def test_single_column_restriction_is_exact(self):
-        result = m_separability_search(
-            TSIRELSON_ANGLES, grid_size=4, restarts=2, seed=0, setting_pairs=((0, 1),)
-        )
-        assert result.m_hat <= 1e-6
-
-    def test_single_outcome_restriction(self):
-        result = m_separability_search(
-            TSIRELSON_ANGLES, grid_size=4, restarts=2, seed=0, restrict_outcome=(1, -1)
-        )
-        assert result.m_hat <= 1e-6
-
     def test_grid_monotonicity(self):
         values = [
             m_separability_search(TSIRELSON_ANGLES, grid_size=g, restarts=2, seed=3).m_hat
@@ -433,12 +421,6 @@ class TestSeparabilitySearch:
             assert abs(predicted - born) == pytest.approx(dev, abs=1e-12)
 
     def test_restriction_validation(self):
-        with pytest.raises(ValueError):
-            m_separability_search(TSIRELSON_ANGLES, setting_pairs=((0, 2),))
-        with pytest.raises(ValueError):
-            m_separability_search(TSIRELSON_ANGLES, setting_pairs=())
-        with pytest.raises(ValueError):
-            m_separability_search(TSIRELSON_ANGLES, restrict_outcome=(0, 1))
         with pytest.raises(ValueError):
             m_separability_search(TSIRELSON_ANGLES, grid_size=0)
         with pytest.raises(ValueError):
@@ -541,13 +523,12 @@ class TestExactPath:
             # a seeded random start wins the grid-3 level
             pytest.param(TSIRELSON_ANGLES, dict(grid_size=3, restarts=3, seed=11),
                          0.1758465191782561, id="grid3-restarts3"),
-            pytest.param(TSIRELSON_ANGLES,
-                         dict(grid_size=2, restarts=1, seed=2,
-                              setting_pairs=((0, 0), (0, 1), (1, 0))),
-                         4.163336342344337e-17, id="setting-pairs"),
-            pytest.param(TSIRELSON_ANGLES,
-                         dict(grid_size=2, restarts=1, seed=4, restrict_outcome=(1, -1)),
-                         0.007300858219767795, id="restrict-outcome"),
+            pytest.param(tuple(DetectorAngle(a) for a in (0.03, 0.80, 1.93, 2.71)),
+                         dict(grid_size=4, restarts=0, seed=0),
+                         0.15782398966259803, id="skewed-grid4"),
+            pytest.param(tuple(DetectorAngle(a) for a in (0.4, 2.9, 1.1, 0.25)),
+                         dict(grid_size=3, restarts=1, seed=5),
+                         0.0861371727687564, id="skewed-grid3"),
             # the LP vertex misses the dual bound, so the search polishes it
             pytest.param(tuple(DetectorAngle(a) for a in (1e-6, 0.0, 1.4375, 0.21875)),
                          dict(grid_size=8, restarts=0, seed=0),

@@ -29,6 +29,8 @@ from bellmodel.probspace import (
     setting_event,
     sig17,
 )
+from bellmodel.lhv import LHVModel, lhv_correlation, lhv_predicted_probs
+from bellmodel.montecarlo import EmpiricalMeasure, empirical_partial_expectation
 from bellmodel.singlet import TSIRELSON_ANGLES, DetectorAngle, conditional_joint_probs
 
 SQRT2 = math.sqrt(2.0)
@@ -273,6 +275,37 @@ class TestChshOutcome:
         assert OUTCOME_ORDER[15] == ChshOutcome(-1, -1, 0, 1)
 
 
+_ONE_POINT_MODEL = LHVModel(
+    lambda_grid=[0.5], rho=[1.0], p_response=[[1.0], [0.0]], q_response=[[0.0], [1.0]]
+)
+_EMPIRICAL = EmpiricalMeasure(counts=np.ones(16, dtype=np.int64), n=16)
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (2, 0), (0, -1), (0, 2), (True, 0), (0, 1.0)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        setting_event,
+        chsh_measure(TSIRELSON_ANGLES).column,
+        SettingsDistribution.uniform().probability,
+        lambda i, j: ChshOutcome(x=1, y=1, i=i, j=j),
+        lambda i, j: lhv_predicted_probs(_ONE_POINT_MODEL, i, j),
+        lambda i, j: lhv_correlation(_ONE_POINT_MODEL, i, j),
+        lambda i, j: empirical_partial_expectation(_EMPIRICAL, i, j),
+    ],
+    ids=[
+        "setting_event", "column", "probability", "ChshOutcome",
+        "lhv_predicted_probs", "lhv_correlation", "empirical_partial_expectation",
+    ],
+)
+def test_setting_indices_checked(call, i, j):
+    """Every function taking a setting pair rejects an index other than the
+    integers 0 and 1 with the same message, rather than wrapping a negative
+    index, reading True as a mask or raising numpy's IndexError."""
+    with pytest.raises(ValueError, match=rf"^setting indices must be 0 or 1, got \({i}, {j}\)$"):
+        call(i, j)
+
+
 class TestChshMeasure:
     def setup_method(self):
         self.measure = chsh_measure(TSIRELSON_ANGLES)
@@ -403,6 +436,18 @@ class TestMeasureConstruction:
         cells = {(1, 1, 0, 0): 1.0}
         with pytest.raises(ValueError):
             JointMeasure.from_probabilities(TSIRELSON_ANGLES, SettingsDistribution.uniform(), cells)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda s: chsh_measure(TSIRELSON_ANGLES, s),
+            lambda s: JointMeasure.from_probabilities(TSIRELSON_ANGLES, s, [0.0625] * 16),
+        ],
+        ids=["chsh_measure", "from_probabilities"],
+    )
+    def test_settings_must_be_a_settings_distribution(self, build):
+        with pytest.raises(ValueError, match="^settings must be a SettingsDistribution, got tuple"):
+            build((0.25,) * 4)
 
 
 class TestSerialization:
