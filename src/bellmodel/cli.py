@@ -1,11 +1,12 @@
 """Command-line interface.
 
-One subcommand per capability; every command writes a single document to
-stdout (json, csv, or an aligned table) and keeps diagnostics on stderr.
-Exit codes: 0 success, 1 inequality violated under --strict, 2 any other
-failure (usage, configuration, or an error while computing).  Size flags
-(--n, --grid, --restarts) have upper bounds, checked before anything is
-allocated.
+One subcommand per capability; each returns one document (json, csv, or an
+aligned table) and an exit code, and `main` alone writes it to stdout, with
+diagnostics on stderr as one ``error:`` line.  Exit codes: 0 success, 1
+inequality violated under --strict (the document is still written), 2 any
+other failure (usage, configuration, or an error while computing).  Size
+flags (--n, --grid, --restarts) have upper bounds, checked before anything
+is allocated.
 
 Shared option values can come from a config file (--config PATH) holding
 ``key = value`` lines with ``#`` comments; explicit flags win over the
@@ -19,7 +20,7 @@ import json
 import math
 import re
 import sys
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence, Union
 
 from . import __version__
 from .inequalities import (
@@ -115,20 +116,13 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-class _Options:
+class _Options(dict[str, Any]):
     """Flag values merged with the config file; flags win."""
 
     def __init__(self, args: argparse.Namespace):
-        self._args = args
-        self._config = _load_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key: str, default: Any = None) -> Any:
-        flag = getattr(self._args, key.replace("-", "_"), None)
-        if flag is not None:
-            return flag
-        if key in self._config:
-            return self._config[key]
-        return default
+        config = _load_config(args.config) if args.config else {}
+        flags = {k: v for k, v in vars(args).items() if k in _OPTIONS and v is not None}
+        super().__init__({**config, **flags})
 
     def get_int(self, key: str, default: int, maximum: int | None = None) -> int:
         value = self.get(key, default)
@@ -192,36 +186,27 @@ def _format(opts: _Options, default: str, allowed: tuple[str, ...]) -> str:
     return fmt
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_json(doc: dict) -> None:
-    _emit(json.dumps(doc))
-
-
 def _angles_doc(angles: Sequence[DetectorAngle], names: Sequence[str]) -> dict:
     return {name: a.radians for name, a in zip(names, angles)}
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns (document, exit code) and writes nothing
 # ---------------------------------------------------------------------------
 
+_Output = Union[dict, str, Iterator[str]]  # a json object, text, or text pieces
 
-def _cmd_measure(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+
+def _cmd_measure(opts: _Options) -> tuple[_Output, int]:
     angles = _parse_angles(opts, 4, TSIRELSON_ANGLES)
     settings = _parse_settings(opts, SettingsDistribution.uniform())
     fmt = _format(opts, "table", ("table", "json", "csv"))
     measure = chsh_measure(angles, settings)
     if fmt == "json":
-        _emit_json(measure.as_dict())
-    elif fmt == "csv":
-        _emit(measure.to_csv())
-    else:
-        _emit(_measure_table(measure))
-    return 0
+        return measure.as_dict(), 0
+    if fmt == "csv":
+        return measure.to_csv(), 0
+    return _measure_table(measure), 0
 
 
 def _measure_table(measure: JointMeasure) -> str:
@@ -241,8 +226,7 @@ def _measure_table(measure: JointMeasure) -> str:
     return "\n".join(lines)
 
 
-def _cmd_chsh(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def _cmd_chsh(opts: _Options) -> tuple[_Output, int]:
     angles = _parse_angles(opts, 4, TSIRELSON_ANGLES)
     settings = _parse_settings(opts, SettingsDistribution.uniform())
     mode = str(opts.get("mode", "conditional")).strip().lower()
@@ -251,80 +235,60 @@ def _cmd_chsh(args: argparse.Namespace) -> int:
     fmt = _format(opts, "table", ("table", "json"))
     measure = chsh_measure(angles, settings)
     report = chsh_conditional(measure) if mode == "conditional" else chsh_partial(measure)
+    code = int(opts.get_bool("strict") and not report.satisfied)
     if fmt == "json":
-        doc = {
+        return {
             "mode": mode,
             "angles": _angles_doc(angles, ("a0", "a1", "b0", "b1")),
             "settings": dict(settings.items()),
-        }
-        doc.update(report.as_dict())
-        _emit_json(doc)
-    else:
-        lines = [f"mode: {mode}"]
-        for (i, j), t in zip(COLUMN_ORDER, report.term_values):
-            lines.append(f"term a{i}b{j}: {sig17(t)}")
-        lines.append(f"combined: {sig17(report.combined_value)}")
-        lines.append(f"bound: {sig17(report.bound)}")
-        lines.append(f"satisfied: {report.satisfied}")
-        _emit("\n".join(lines))
-    if opts.get_bool("strict") and not report.satisfied:
-        return 1
-    return 0
+            **report.as_dict(),
+        }, code
+    lines = [f"mode: {mode}"]
+    for (i, j), t in zip(COLUMN_ORDER, report.term_values):
+        lines.append(f"term a{i}b{j}: {sig17(t)}")
+    lines.append(f"combined: {sig17(report.combined_value)}")
+    lines.append(f"bound: {sig17(report.bound)}")
+    lines.append(f"satisfied: {report.satisfied}")
+    return "\n".join(lines), code
 
 
-def _cmd_bell(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def _cmd_bell(opts: _Options) -> tuple[_Output, int]:
     angles = _parse_angles(opts, 3, BELL_TEST_ANGLES)
     settings = _parse_settings(opts, BELL_TEST_SETTINGS)
     fmt = _format(opts, "table", ("table", "json"))
     report = bell_original(angles[0], angles[1], angles[2], settings)
+    code = int(opts.get_bool("strict") and not report.satisfied)
     if fmt == "json":
-        doc = {
+        return {
             "angles": _angles_doc(angles, ("a0", "shared", "b1")),
             "settings": dict(settings.items()),
-        }
-        doc.update(report.as_dict())
-        _emit_json(doc)
-    else:
-        _emit(
-            "\n".join(
-                [
-                    f"lhs: {sig17(report.lhs)}",
-                    f"rhs: {sig17(report.rhs)}",
-                    f"satisfied: {report.satisfied}",
-                ]
-            )
-        )
-    if opts.get_bool("strict") and not report.satisfied:
-        return 1
-    return 0
+            **report.as_dict(),
+        }, code
+    lines = [
+        f"lhs: {sig17(report.lhs)}",
+        f"rhs: {sig17(report.rhs)}",
+        f"satisfied: {report.satisfied}",
+    ]
+    return "\n".join(lines), code
 
 
-def _cmd_nosignal(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def _cmd_nosignal(opts: _Options) -> tuple[_Output, int]:
     angles = _parse_angles(opts, 4, TSIRELSON_ANGLES)
     settings = _parse_settings(opts, SettingsDistribution.uniform())
     fmt = _format(opts, "table", ("table", "json"))
     report = no_signaling_report(chsh_measure(angles, settings))
     if fmt == "json":
-        doc = {"angles": _angles_doc(angles, ("a0", "a1", "b0", "b1"))}
-        doc.update(report.as_dict())
-        _emit_json(doc)
-    else:
-        lines = []
-        for (party, outcome, own, other), cond in report.conditional_marginals.items():
-            lines.append(
-                f"P[{party}={outcome:+d} | own={own}, other={other}] = {sig17(cond)}"
-            )
-        if report.skipped:
-            lines.append("skipped pairs: " + ", ".join(f"a{i}b{j}" for i, j in report.skipped))
-        lines.append(f"max deviation: {sig17(report.max_deviation)}")
-        _emit("\n".join(lines))
-    return 0
+        return {"angles": _angles_doc(angles, ("a0", "a1", "b0", "b1")), **report.as_dict()}, 0
+    lines = []
+    for (party, outcome, own, other), cond in report.conditional_marginals.items():
+        lines.append(f"P[{party}={outcome:+d} | own={own}, other={other}] = {sig17(cond)}")
+    if report.skipped:
+        lines.append("skipped pairs: " + ", ".join(f"a{i}b{j}" for i, j in report.skipped))
+    lines.append(f"max deviation: {sig17(report.max_deviation)}")
+    return "\n".join(lines), 0
 
 
-def _cmd_factorize(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def _cmd_factorize(opts: _Options) -> tuple[_Output, int]:
     angles = _parse_angles(opts, 4, TSIRELSON_ANGLES)
     fmt = _format(opts, "table", ("table", "json"))
     grid = opts.get_int("grid", 21, _MAX_GRID["factorize"])
@@ -332,37 +296,28 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
     measure = chsh_measure(angles, SettingsDistribution.uniform())
     fit = factorizability_fit(measure, grid_points=grid, restarts=restarts)
     if fmt == "json":
-        doc = {"angles": _angles_doc(angles, ("a0", "a1", "b0", "b1"))}
-        doc.update(fit.as_dict())
-        _emit_json(doc)
-    else:
-        lines = [f"{name}: {sig17(value)}" for name, value in fit.as_dict().items()]
-        _emit("\n".join(lines))
-    return 0
+        return {"angles": _angles_doc(angles, ("a0", "a1", "b0", "b1")), **fit.as_dict()}, 0
+    return "\n".join(f"{name}: {sig17(value)}" for name, value in fit.as_dict().items()), 0
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def _cmd_witness(opts: _Options) -> tuple[_Output, int]:
     fmt = _format(opts, "table", ("table", "json"))
     grid = opts.get_int("grid", 10000, _MAX_GRID["witness"])
     report = fourier_witness_check(grid_size=grid)
     if fmt == "json":
-        _emit_json(report.as_dict())
-    else:
-        lines = [
-            f"first moment |.|: {sig17(report.first_moment_abs)}",
-            f"second moment |.|: {sig17(report.second_moment_abs)}",
-            f"power: {sig17(report.power)} (target {sig17(math.pi / 2)})",
-            f"response amplitude max: {sig17(report.response_amplitude_max)}",
-            f"grid size: {report.grid_size}",
-            f"contradiction: {report.contradiction}",
-        ]
-        _emit("\n".join(lines))
-    return 0
+        return report.as_dict(), 0
+    lines = [
+        f"first moment |.|: {sig17(report.first_moment_abs)}",
+        f"second moment |.|: {sig17(report.second_moment_abs)}",
+        f"power: {sig17(report.power)} (target {sig17(math.pi / 2)})",
+        f"response amplitude max: {sig17(report.response_amplitude_max)}",
+        f"grid size: {report.grid_size}",
+        f"contradiction: {report.contradiction}",
+    ]
+    return "\n".join(lines), 0
 
 
-def _cmd_lhv_fit(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def _cmd_lhv_fit(opts: _Options) -> tuple[_Output, int]:
     angles = _parse_angles(opts, 4, TSIRELSON_ANGLES)
     fmt = _format(opts, "table", ("table", "json"))
     grid = opts.get_int("grid", 16, _MAX_GRID["lhv-fit"])
@@ -370,24 +325,20 @@ def _cmd_lhv_fit(args: argparse.Namespace) -> int:
     seed = opts.get_int("seed", 0)
     result = m_separability_search(angles, grid_size=grid, restarts=restarts, seed=seed)
     if fmt == "json":
-        doc = {
+        return {
             "angles": _angles_doc(angles, ("a0", "a1", "b0", "b1")),
             "grid_size": grid,
             "restarts": restarts,
             "seed": seed,
-        }
-        doc.update(result.as_dict())
-        _emit_json(doc)
-    else:
-        lines = [f"m_hat: {sig17(result.m_hat)}", f"latent points: {result.model.size}"]
-        for (x, y, i, j), d in sorted(result.per_setting_deviations.items()):
-            lines.append(f"cell x={x:+d} y={y:+d} a{i}b{j}: deviation {sig17(d)}")
-        _emit("\n".join(lines))
-    return 0
+            **result.as_dict(),
+        }, 0
+    lines = [f"m_hat: {sig17(result.m_hat)}", f"latent points: {result.model.size}"]
+    for (x, y, i, j), d in sorted(result.per_setting_deviations.items()):
+        lines.append(f"cell x={x:+d} y={y:+d} a{i}b{j}: deviation {sig17(d)}")
+    return "\n".join(lines), 0
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def _cmd_sample(opts: _Options) -> tuple[_Output, int]:
     angles = _parse_angles(opts, 4, TSIRELSON_ANGLES)
     settings = _parse_settings(opts, SettingsDistribution.uniform())
     fmt = _format(opts, "csv", ("csv", "json", "table"))
@@ -396,15 +347,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     measure = chsh_measure(angles, settings)
     chunks = sample_chunks(measure, n, seed)
     if fmt == "csv":
-        for piece in trial_csv(chunks):  # each piece ends with a newline
-            sys.stdout.write(piece)
-        return 0
+        return trial_csv(chunks), 0
     empirical = empirical_measure(chunks)
     partials = {
         f"a{i}b{j}": empirical_partial_expectation(empirical, i, j) for (i, j) in COLUMN_ORDER
     }
     if fmt == "json":
-        doc = {
+        return {
             "seed": seed,
             "n": n,
             "generator": GENERATOR_ID,
@@ -412,15 +361,12 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "counts": [int(c) for c in empirical.counts],
             "frequencies": [float(f) for f in empirical.frequencies],
             "partial_expectations": partials,
-        }
-        _emit_json(doc)
-    else:
-        lines = [f"n: {n}", f"seed: {seed}", f"generator: {GENERATOR_ID}"]
-        lines += [f"partial E {label}: {sig17(value)}" for label, value in partials.items()]
-        counts = " ".join(str(int(c)) for c in empirical.counts)
-        lines.append(f"counts: {counts}")
-        _emit("\n".join(lines))
-    return 0
+        }, 0
+    lines = [f"n: {n}", f"seed: {seed}", f"generator: {GENERATOR_ID}"]
+    lines += [f"partial E {label}: {sig17(value)}" for label, value in partials.items()]
+    counts = " ".join(str(int(c)) for c in empirical.counts)
+    lines.append(f"counts: {counts}")
+    return "\n".join(lines), 0
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bellmodel {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    handlers: dict[str, tuple[Callable[[argparse.Namespace], int], tuple[str, ...], str]] = {
+    handlers: dict[str, tuple[Callable[[_Options], tuple[_Output, int]], tuple[str, ...], str]] = {
         "measure": (_cmd_measure, ("angles", "settings", "format", "degrees"),
                     "print the 16-cell joint probability table"),
         "chsh": (_cmd_chsh, ("angles", "settings", "mode", "format", "strict", "degrees"),
@@ -476,12 +422,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        output, code = args.handler(_Options(args))
+        if isinstance(output, dict):
+            output = json.dumps(output)
+        if isinstance(output, str):
+            output = [output if output.endswith("\n") else output + "\n"]
+        for piece in output:  # the trial CSV arrives one chunk of trials at a time
+            sys.stdout.write(piece)
+        return code
     except Exception as exc:  # exit 1 is reserved for a violation under --strict
-        print(f"error: {exc!r}", file=sys.stderr)
+        detail = exc if isinstance(exc, (ValueError, OSError)) else repr(exc)
+        print(f"error: {detail}", file=sys.stderr)
         return 2
 
 

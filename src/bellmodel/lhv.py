@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.optimize import linprog
@@ -368,13 +369,18 @@ class LHVModel:
         return json.dumps(self.as_dict())
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "LHVModel":
-        return cls(
-            lambda_grid=np.array(doc["lambda_grid"], dtype=float),
-            rho=np.array(doc["rho"], dtype=float),
-            p_response=np.array(doc["p_response"], dtype=float),
-            q_response=np.array(doc["q_response"], dtype=float),
-        )
+    def from_dict(cls, doc: Mapping) -> "LHVModel":
+        if not isinstance(doc, Mapping):
+            raise ValueError(f"a model document must be a mapping, got {type(doc).__name__}")
+        names = [field.name for field in fields(cls)]
+        missing = [name for name in names if name not in doc]
+        if missing:
+            raise ValueError(f"model document is missing {', '.join(missing)}")
+        try:
+            arrays = {name: np.array(doc[name], dtype=float) for name in names}
+        except TypeError as exc:  # a mapping or another object where numbers belong
+            raise ValueError(f"model document fields must hold numbers: {exc}") from None
+        return cls(**arrays)
 
     @classmethod
     def from_json(cls, text: str) -> "LHVModel":

@@ -380,10 +380,16 @@ class JointMeasure:
         """Build a measure from explicit cell weights.
 
         ``cells`` is either a mapping (x, y, i, j) -> probability (missing
-        cells are 0) or a flat sequence of 16 weights in canonical order.
+        cells are 0; any other key is an error) or a flat sequence of 16
+        weights in canonical order.
         """
         if isinstance(cells, Mapping):
-            weights = tuple(cells.get((o.x, o.y, o.i, o.j), 0.0) for o in OUTCOME_ORDER)
+            keys = [(o.x, o.y, o.i, o.j) for o in OUTCOME_ORDER]
+            unknown = set(cells).difference(keys)
+            if unknown:
+                names = ", ".join(sorted(map(repr, unknown)))  # mixed key types do not compare
+                raise ValueError(f"cell keys must be (x, y, i, j) of the 16 cells, got {names}")
+            weights = tuple(cells.get(key, 0.0) for key in keys)
         else:
             weights = tuple(float(c) for c in cells)
             if len(weights) != 16:

@@ -87,6 +87,11 @@ class TestChsh:
         assert code == 1  # conditional combination exceeds the bound
         code, _, _ = run(capsys, "chsh", "--mode", "partial", "--strict")
         assert code == 0
+        for fmt in ("table", "json"):  # a violation still prints the whole document
+            plain = run(capsys, "chsh", "--format", fmt)
+            strict = run(capsys, "chsh", "--format", fmt, "--strict")
+            assert (plain[0], strict[0]) == (0, 1)
+            assert strict[1:] == plain[1:] and plain[1].endswith("\n")
 
     def test_table_output(self, capsys):
         code, out, _ = run(capsys, "chsh")
@@ -227,6 +232,14 @@ class TestConfigFile:
         code, _, _ = run(capsys, "chsh", "--config", str(cfg))
         assert code == 1
 
+    def test_bad_strict_value_writes_nothing(self, capsys, tmp_path):
+        """An exit 2 never follows a whole document on stdout."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("strict = maybe\n")
+        code, out, err = run(capsys, "chsh", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert one_error_line(err) and "--strict must be a boolean, got 'maybe'" in err
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("palette = mauve\n")
@@ -279,6 +292,28 @@ class TestUsageErrors:
         code, _, err = run(capsys, "measure", "--settings", "-0.1,0.4,0.4,0.3")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("measure", "--angles", "0,zero,1,2", "--format", "yaml"),
+             "--angles must be comma-separated numbers, got '0,zero,1,2'"),
+            (("sample", "--settings", "0.5,0.5", "--n", "10000001"),
+             "--settings needs 'uniform' or 4 values p00,p01,p10,p11, got 2"),
+            (("lhv-fit", "--format", "yaml", "--grid", "1025"),
+             "--format must be one of table, json; got 'yaml'"),
+            (("chsh", "--mode", "sideways", "--format", "yaml"),
+             "--mode must be 'conditional' or 'partial', got 'sideways'"),
+            (("factorize", "--grid", "33", "--restarts", "1001"),
+             "--grid must be at most 32, got 33"),
+            (("sample", "--n", "0", "--seed", "-1", "--format", "yaml"),
+             "--format must be one of csv, json, table; got 'yaml'"),
+        ],
+    )
+    def test_first_flaw_wins(self, capsys, argv, message):
+        """Options are checked in a fixed order: angles, settings, mode,
+        format, grid, restarts, n, seed; the first flaw is the one reported."""
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 #: Every subcommand that takes --angles, with a negative first angle and

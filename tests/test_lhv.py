@@ -367,6 +367,31 @@ class TestLHVModel:
         with pytest.raises(ValueError, match="finite"):
             LHVModel.from_json(text)
 
+    @pytest.mark.parametrize(
+        "drop, message",
+        [
+            (("rho",), "model document is missing rho"),
+            (("lambda_grid", "q_response"), "model document is missing lambda_grid, q_response"),
+        ],
+    )
+    def test_missing_keys_rejected(self, drop, message):
+        doc = {k: v for k, v in self.one_point_doc("rho", 1.0).items() if k not in drop}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LHVModel.from_dict(doc)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LHVModel.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [{"p": 1.0}, [{"p": 1.0}]])
+    def test_non_numeric_field_rejected(self, value):
+        doc = {**self.one_point_doc("rho", 1.0), "rho": value}
+        with pytest.raises(ValueError, match="^model document fields must hold numbers: "):
+            LHVModel.from_dict(doc)
+
+    @pytest.mark.parametrize("text", ["[0.5, 1.0]", "null", "3"])
+    def test_non_mapping_document_rejected(self, text):
+        with pytest.raises(ValueError, match="^a model document must be a mapping, got "):
+            LHVModel.from_json(text)
+
     def test_json_round_trip(self):
         model = self.fair_coins(size=3)
         clone = LHVModel.from_json(model.to_json())

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -418,6 +419,23 @@ class TestMeasureConstruction:
         )
         assert m.probability(1, 1, 0, 0) == 0.5
         assert m.probability(-1, 1, 0, 0) == 0.0
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ({(1, 1, 0, 2): 0.0}, "(1, 1, 0, 2)"),
+            ({(1, 1, 0, 5): 0.5, "p": 0.0}, "'p', (1, 1, 0, 5)"),  # str and tuple keys
+            ({ChshOutcome(1, 1, 0, 0): 0.0}, "ChshOutcome(x=1, y=1, i=0, j=0)"),
+        ],
+        ids=["zero-weight", "mixed-types", "outcome-object"],
+    )
+    def test_from_probabilities_rejects_unknown_keys(self, extra, named):
+        """A key outside the 16 cells is named, not dropped (with its weight)."""
+        cells = {(1, 1, 0, 0): 0.5, (-1, -1, 1, 1): 0.5, **extra}
+        with pytest.raises(ValueError, match=r"^cell keys must be .* got " + re.escape(named) + "$"):
+            JointMeasure.from_probabilities(
+                TSIRELSON_ANGLES, SettingsDistribution(0.5, 0.0, 0.0, 0.5), cells
+            )
 
     def test_from_probabilities_sequence(self):
         weights = chsh_measure(TSIRELSON_ANGLES).space.weights

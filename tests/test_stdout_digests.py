@@ -41,6 +41,8 @@ PINNED = [
      "8ee95c60544e3e81c219d4891c73495bc5e645074a9b47b763388e731607bab0"),
     (("chsh", JITTERED, *SKEWED, "--mode", "conditional", "--format", "json"),
      "1a42b7baebcf677258318e799c3ca3e37c7533df821f94d0956007fd83472689"),
+    (("nosignal",),
+     "6eedcaa35a0b525fc020556589c25a1fffebaab228c5cfb17bafd9116ccd7f78"),
     (("nosignal", "--format", "json"),
      "ed1abbe3162285afe33bae7df4ea3f652b2c5a1257226c528d0528ed8ca8539b"),
     (("nosignal", JITTERED, "--settings", "0.5,0,0.25,0.25", "--format", "json"),
@@ -48,18 +50,24 @@ PINNED = [
     # the (a0, b1) pair has probability 0, so the table lists it as skipped
     (("nosignal", JITTERED, "--settings", "0.5,0,0.25,0.25", "--format", "table"),
      "f0c9bce025b70555fe7e19bd1b276a05adcdaf99353fcb956773bef01e8daf12"),
+    (("bell",),
+     "0294e32fc22087a7dfdfe3aa8b3fbeb87a8fa916f754fa3dc994d0eb08fd0c3b"),
     (("bell", "--format", "json"),
      "35fb92d354fcfcaf8f2428fe867fa04bf00ffa5f51dd591fdfc06dc7eb4c93ca"),
     (("bell", *BELL_OFF_DEFAULT, "--format", "json"),
      "d3fed3c649d0cacf840ee6bd855f0f40e9e38c02a875b0064b6c585344cd26f5"),
     (("bell", *BELL_OFF_DEFAULT, "--format", "table"),
      "b70e4cb8f18db435687d2e8bcc86a0802f3d4dc7ade2c708f4096517fdf7ae4e"),
+    (("factorize",),
+     "f8f9e3b398110e931b0271e5287c921bed88448ff32ff919df3a0c4f7255c076"),
     (("factorize", "--format", "json"),
      "a73f4e350c406d7e8702a036fe8f0c3176fa7c3701b146cf80be412d84216010"),
     (("factorize", JITTERED, "--format", "table"),
      "03247b85d092d1f54eb054ba1c061f0c0a67b118d4449793f5708604c68dfa71"),
     (("witness", "--format", "json"),
      "c05476905a87c4cf6b667e38568ff1b29e4143d9961d0384210208ea72f47176"),
+    (("witness", "--format", "table"),
+     "a93df36f1088ce0798e70209e5cbcaacfbc9a32375248a1085fdc1921223fb10"),
     (("sample", "--n", "20000", "--format", "csv"),
      "f57ffbc3b317bff739b6a726469135c02873c83924f631174d53c091201fb452"),
     (("sample", "--n", "20000", "--format", "json"),
