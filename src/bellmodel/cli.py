@@ -4,13 +4,15 @@ One subcommand per capability; each returns one document (json, csv, or an
 aligned table) and an exit code, and `main` alone writes it to stdout, with
 diagnostics on stderr as one ``error:`` line.  Exit codes: 0 success, 1
 inequality violated under --strict (the document is still written), 2 any
-other failure (usage, configuration, or an error while computing).  Size
-flags (--n, --grid, --restarts) have upper bounds, checked before anything
-is allocated.
+other failure (usage, configuration, or an error while computing).  A
+reader that closes stdout early is not a failure: writing stops, nothing is
+printed on stderr and the exit code is the subcommand's.  Size flags (--n,
+--grid, --restarts) have upper bounds, checked before anything is allocated.
 
 Shared option values can come from a config file (--config PATH) holding
 ``key = value`` lines with ``#`` comments; explicit flags win over the
-file, which wins over built-in defaults.
+file, which wins over built-in defaults.  The file is read up to 65536
+characters; a longer one is an error.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from typing import Any, Callable, Iterator, Sequence, Union
@@ -69,6 +72,10 @@ _MAX_RESTARTS = 1000
 #: on grid latent points.
 _MAX_GRID = {"factorize": 32, "witness": 1_000_000, "lhv-fit": 1024}
 
+#: Largest accepted --config file, in characters; reading stops one past it,
+#: so an endless file such as /dev/zero is rejected, not read until memory runs out.
+_MAX_CONFIG_CHARS = 65536
+
 #: A flag without a value; None when absent, so a --config value still applies.
 _SWITCH = {"action": "store_true", "default": None}
 
@@ -103,16 +110,19 @@ class _CommandParser(argparse.ArgumentParser):
 def _load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _OPTIONS:
-                raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-            values[key] = value
+        text = handle.read(_MAX_CONFIG_CHARS + 1)
+    if len(text) > _MAX_CONFIG_CHARS:
+        raise ValueError(f"{path}: config file is larger than {_MAX_CONFIG_CHARS} characters")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _OPTIONS:
+            raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
+        values[key] = value
     return values
 
 
@@ -427,8 +437,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             output = json.dumps(output)
         if isinstance(output, str):
             output = [output if output.endswith("\n") else output + "\n"]
-        for piece in output:  # the trial CSV arrives one chunk of trials at a time
-            sys.stdout.write(piece)
+        try:
+            for piece in output:  # the trial CSV arrives one chunk of trials at a time
+                sys.stdout.write(piece)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader closed stdout: stop writing, not a failure
+            # fd 1 on devnull, so that the flush at interpreter exit finds no pipe
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except Exception as exc:  # exit 1 is reserved for a violation under --strict
         detail = exc if isinstance(exc, (ValueError, OSError)) else repr(exc)

@@ -24,7 +24,7 @@ x * y * p over column (i, j), a conditional term divides that by the column's ma
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .probspace import (
     COLUMN_ORDER,
@@ -78,21 +78,23 @@ def chsh_combination(terms: tuple[float, float, float, float]) -> float:
 
 @dataclass(frozen=True)
 class ChshReport:
-    """CHSH evaluation: one term per setting-pair column, their combination, the verdict."""
+    """CHSH evaluation: one term per setting-pair column; combination and verdict derived."""
 
     term_values: tuple[float, float, float, float]
-    combined_value: float
-    bound: float
-    satisfied: bool
+    bound = CHSH_BOUND
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "term_values", tuple(float(t) for t in self.term_values))
         if len(self.term_values) != 4:
             raise ValueError("need one term per setting-pair column")
-        if abs(self.combined_value - chsh_combination(self.term_values)) > _TOL:
-            raise ValueError("combined_value does not match the terms")
-        if self.satisfied != (self.combined_value <= self.bound + _TOL):
-            raise ValueError("satisfied flag contradicts combined_value vs bound")
+
+    @property
+    def combined_value(self) -> float:
+        return chsh_combination(self.term_values)
+
+    @property
+    def satisfied(self) -> bool:
+        return self.combined_value <= self.bound + _TOL
 
     def as_dict(self) -> dict:
         return {
@@ -106,17 +108,6 @@ class ChshReport:
 def _partial_term(measure: JointMeasure, i: int, j: int) -> float:
     """E_{a_i, b_j}[XY]: x * y * p summed over column (i, j) of the measure's table."""
     return math.fsum(x * y * p for (x, y), p in zip(ROW_ORDER, measure.table[:, i, j].tolist()))
-
-
-def _chsh_report(terms: list[float]) -> ChshReport:
-    terms = tuple(terms)
-    combined = chsh_combination(terms)
-    return ChshReport(
-        term_values=terms,
-        combined_value=combined,
-        bound=CHSH_BOUND,
-        satisfied=combined <= CHSH_BOUND + _TOL,
-    )
 
 
 def chsh_conditional(measure: JointMeasure) -> ChshReport:
@@ -133,7 +124,7 @@ def chsh_conditional(measure: JointMeasure) -> ChshReport:
                 f"setting pair (a{i}, b{j}) has probability zero; its conditional term is undefined"
             )
         terms.append(_partial_term(measure, i, j) / mass)
-    return _chsh_report(terms)
+    return ChshReport(terms)
 
 
 def chsh_partial(measure: JointMeasure) -> ChshReport:
@@ -142,7 +133,7 @@ def chsh_partial(measure: JointMeasure) -> ChshReport:
     Defined for every measure; each term is the conditional term scaled by
     its setting probability, so the combination never exceeds 2.
     """
-    return _chsh_report([_partial_term(measure, i, j) for (i, j) in COLUMN_ORDER])
+    return ChshReport([_partial_term(measure, i, j) for (i, j) in COLUMN_ORDER])
 
 
 def realism_table_check() -> list[int]:
@@ -157,18 +148,18 @@ def realism_table_check() -> list[int]:
 
 @dataclass(frozen=True)
 class BellReport:
-    """Original-Bell evaluation: |T00 - T01| <= 1 + T11 on partial expectations of -XY."""
+    """Original-Bell sides ``lhs`` = |T00 - T01| and ``rhs`` = 1 + T11 on partial
+    expectations of -XY; the verdict ``satisfied`` (lhs <= rhs) is derived."""
 
     lhs: float
     rhs: float
-    satisfied: bool
 
-    def __post_init__(self) -> None:
-        if self.satisfied != (self.lhs <= self.rhs + _TOL):
-            raise ValueError("satisfied flag contradicts lhs vs rhs")
+    @property
+    def satisfied(self) -> bool:
+        return self.lhs <= self.rhs + _TOL
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {"lhs": self.lhs, "rhs": self.rhs, "satisfied": self.satisfied}
 
 
 def bell_original(
@@ -191,6 +182,4 @@ def bell_original(
         )
     measure = chsh_measure((angle_a0, shared, shared, angle_b1), settings)
     t00, t01, t11 = (-_partial_term(measure, i, j) for (i, j) in ((0, 0), (0, 1), (1, 1)))
-    lhs = abs(t00 - t01)
-    rhs = 1.0 + t11
-    return BellReport(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs + _TOL)
+    return BellReport(lhs=abs(t00 - t01), rhs=1.0 + t11)

@@ -65,13 +65,17 @@ class NoSignalingReport:
     (party, outcome, own_setting, other_setting); keys of ``deviations``
     are (party, outcome, own_setting).  Setting pairs with probability 0
     have no conditional marginal and are listed in ``skipped``.
+    ``max_deviation`` is derived: the largest deviation, 0 when there is none.
     """
 
     joint_marginals: dict[tuple[str, int, int, int], float]
     conditional_marginals: dict[tuple[str, int, int, int], float]
     deviations: dict[tuple[str, int, int], float]
     skipped: tuple[tuple[int, int], ...]
-    max_deviation: float
+
+    @property
+    def max_deviation(self) -> float:
+        return max(self.deviations.values(), default=0.0)
 
     def as_dict(self) -> dict:
         return {
@@ -131,13 +135,11 @@ def no_signaling_report(measure: JointMeasure) -> NoSignalingReport:
                 if k0 in cond and k1 in cond:
                     deviations[(party, outcome, own)] = abs(cond[k0] - cond[k1])
 
-    max_dev = max(deviations.values(), default=0.0)
     return NoSignalingReport(
         joint_marginals=joint,
         conditional_marginals=cond,
         deviations=deviations,
         skipped=skipped,
-        max_deviation=max_dev,
     )
 
 
@@ -261,8 +263,8 @@ class FourierWitnessReport:
     forcing |c| = sqrt(pi/2) almost everywhere.  The response then swings
     with amplitude 2|c|/sqrt(pi) = sqrt 2 around its mean, and since twice
     the angle sweeps a full period the swing is attained: the "probability"
-    would leave [0, 1].  ``contradiction`` records that all four numbers hit
-    those targets.
+    would leave [0, 1].  The four numbers and ``grid_size`` are measured;
+    ``contradiction`` is derived: all four hit those targets.
     """
 
     first_moment_abs: float
@@ -270,10 +272,18 @@ class FourierWitnessReport:
     power: float
     response_amplitude_max: float
     grid_size: int
-    contradiction: bool
+
+    @property
+    def contradiction(self) -> bool:
+        return (
+            self.first_moment_abs <= 1e-8
+            and self.second_moment_abs <= 1e-8
+            and abs(self.power - math.pi / 2.0) <= 1e-8
+            and self.response_amplitude_max > 1.0 + 1e-6
+        )
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "contradiction": self.contradiction}
 
 
 def fourier_witness_check(grid_size: int = 10000) -> FourierWitnessReport:
@@ -293,20 +303,12 @@ def fourier_witness_check(grid_size: int = 10000) -> FourierWitnessReport:
     second = abs(complex(np.sum(c * c) * w))
     power = float(np.sum(np.abs(c) ** 2) * w)
     amplitude = float(np.max(2.0 * np.abs(c) / math.sqrt(math.pi)))
-
-    contradiction = (
-        first <= 1e-8
-        and second <= 1e-8
-        and abs(power - math.pi / 2.0) <= 1e-8
-        and amplitude > 1.0 + 1e-6
-    )
     return FourierWitnessReport(
         first_moment_abs=first,
         second_moment_abs=second,
         power=power,
         response_amplitude_max=amplitude,
         grid_size=grid_size,
-        contradiction=contradiction,
     )
 
 
@@ -424,23 +426,21 @@ def lhv_correlation(model: LHVModel, i: int, j: int) -> float:
 class SeparabilityResult:
     """Outcome of the m-separability search.
 
-    ``m_hat`` is the largest absolute deviation between the model's
+    ``m_hat`` (derived) is the largest absolute deviation between the model's
     predictions and the target over the 16 cells, i.e. the max of
     ``per_setting_deviations``.  ``lower_bound`` is the mixture LP's dual
     objective: no local model, on any latent grid, has a worst deviation
-    below it.  ``gap`` is ``m_hat - lower_bound``.  Both are None when the
-    LP solver failed.
+    below it.  ``gap`` (derived) is ``m_hat - lower_bound``.  Both are None
+    when the LP solver failed.
     """
 
-    m_hat: float
     model: LHVModel
     per_setting_deviations: dict[tuple[int, int, int, int], float]
     lower_bound: float | None = None
 
-    def __post_init__(self) -> None:
-        worst = max(self.per_setting_deviations.values(), default=0.0)
-        if abs(self.m_hat - worst) > _ATOL:
-            raise ValueError("m_hat must equal the largest per-cell deviation")
+    @property
+    def m_hat(self) -> float:
+        return max(self.per_setting_deviations.values(), default=0.0)
 
     @property
     def gap(self) -> float | None:
@@ -707,7 +707,6 @@ def m_separability_search(
         for row, (x, y) in enumerate(ROW_ORDER)
         for (i, j) in COLUMN_ORDER
     }
-    m_hat = max(deviations.values())
     return SeparabilityResult(
-        m_hat=m_hat, model=model, per_setting_deviations=deviations, lower_bound=lower_bound
+        model=model, per_setting_deviations=deviations, lower_bound=lower_bound
     )

@@ -174,9 +174,10 @@ class TrialSeries:
         cls, x: np.ndarray, y: np.ndarray, i: np.ndarray, j: np.ndarray,
         seed: int, measure_digest: str,
     ) -> TrialSeries:
-        """Series from recorded x, y (+-1) and i, j (0/1) columns of any
-        integer width; other values raise ValueError."""
-        n = x.shape[0]
+        """Series from recorded x, y (+-1) and i, j (0/1) columns: array-likes
+        of any integer width; other values raise ValueError."""
+        x, y, i, j = (np.asarray(arr) for arr in (x, y, i, j))
+        n = x.shape[0] if x.ndim == 1 else -1
         for name, arr in (("x", x), ("y", y), ("i", i), ("j", j)):
             if arr.ndim != 1 or arr.shape[0] != n:
                 raise ValueError("x, y, i, j must be 1-d arrays of equal length")
@@ -279,28 +280,29 @@ def sample(measure: JointMeasure, n: int, seed: int) -> TrialSeries:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
-    """Cell counts of a trial series, aligned with the canonical cell order."""
+    """Cell counts of a trial series in canonical cell order; ``n`` and frequencies derived."""
 
     counts: np.ndarray
-    n: int
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts)
         if counts.shape != (16,) or not np.issubdtype(counts.dtype, np.integer):
             raise ValueError("counts must be 16 integers, one per canonical cell")
         counts = counts.astype(np.int64)  # a uint64 count past int64 turns negative below
-        if _integer("n", self.n) < 1:
-            raise ValueError("an empirical measure needs at least one trial")
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
-        if int(counts.sum()) != self.n:
-            raise ValueError("counts must sum to the number of trials")
-        counts.flags.writeable = False  # a private copy, so n and the sum stay in step
+        counts.flags.writeable = False  # a private copy, so no write can make a count negative
         object.__setattr__(self, "counts", counts)
+        if self.n < 1:
+            raise ValueError("an empirical measure needs at least one trial")
+
+    @property
+    def n(self) -> int:
+        return sum(self.counts.tolist())  # exact, where an int64 sum can wrap
 
     @property
     def frequencies(self) -> np.ndarray:
-        return self.counts / self.n
+        return self.counts / float(self.n)  # a float divisor: n may exceed int64
 
     def count(self, x: int, y: int, i: int, j: int) -> int:
         return int(self.counts[OUTCOME_ORDER.index(ChshOutcome(x=x, y=y, i=i, j=j))])
@@ -313,7 +315,7 @@ def empirical_measure(trials: TrialSeries | Iterable[np.ndarray]) -> EmpiricalMe
     counts = np.zeros(16, dtype=np.int64)
     for cells in chunks:
         counts += np.bincount(cells, minlength=16)
-    return EmpiricalMeasure(counts=counts, n=int(counts.sum()))
+    return EmpiricalMeasure(counts)
 
 
 def empirical_partial_expectation(empirical: EmpiricalMeasure, i: int, j: int) -> float:

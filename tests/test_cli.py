@@ -4,14 +4,17 @@ import contextlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from bellmodel import __version__, cli
 from bellmodel.cli import main
 from bellmodel.montecarlo import CHUNK
-from bellmodel.probspace import chsh_measure
+from bellmodel.probspace import COLUMN_ORDER, ROW_ORDER, chsh_measure
 from bellmodel.singlet import TSIRELSON_ANGLES
 
 SQRT2 = math.sqrt(2.0)
@@ -159,6 +162,20 @@ class TestLhvFitCertificate:
         assert 0.0 <= doc["gap"] + 1e-12 and doc["gap"] <= 1e-9
         assert doc["gap"] == doc["m_hat"] - doc["lower_bound"]
 
+    def test_json_structure(self, capsys):
+        """Key order and the 16 deviation records, in table order; no digest
+        pins this output, since its digits depend on the LP solver."""
+        doc = run_json(capsys, "lhv-fit", "--format", "json")
+        assert list(doc) == [
+            "angles", "grid_size", "restarts", "seed", "m_hat", "lower_bound", "gap",
+            "per_setting_deviations", "model",
+        ]
+        records = doc["per_setting_deviations"]
+        cells = [(x, y, i, j) for (x, y) in ROW_ORDER for (i, j) in COLUMN_ORDER]
+        assert [(r["x"], r["y"], r["i"], r["j"]) for r in records] == cells
+        assert all(list(r) == ["x", "y", "i", "j", "deviation"] for r in records)
+        assert doc["m_hat"] == max(r["deviation"] for r in records)
+
     def test_table_output_has_no_certificate_lines(self, capsys):
         code, out, _ = run(capsys, "lhv-fit", "--grid", "2", "--restarts", "0")
         assert code == 0
@@ -253,6 +270,16 @@ class TestConfigFile:
         code, _, err = run(capsys, "chsh", "--config", str(cfg))
         assert code == 2
         assert "expected 'key = value'" in err
+
+    def test_size_limit(self, capsys, tmp_path):
+        """The file is read up to one character past the limit, never whole."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = json\n".ljust(cli._MAX_CONFIG_CHARS, "#"))
+        assert run_json(capsys, "chsh", "--config", str(cfg))["mode"] == "conditional"
+        cfg.write_text("format = json\n".ljust(cli._MAX_CONFIG_CHARS + 1, "#"))
+        code, out, err = run(capsys, "chsh", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert one_error_line(err) and str(cfg) in err and str(cli._MAX_CONFIG_CHARS) in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "chsh", "--config", str(tmp_path / "absent.cfg"))
@@ -404,6 +431,20 @@ class TestExitCodeContract:
             code, out, _ = run(capsys, *argv)
             assert code == 0
             assert text in " ".join(out.split())
+
+    def test_closed_stdout_is_not_a_failure(self):
+        """A reader that stops early: 10^6 trials overflow any pipe buffer,
+        so the writer meets the closed pipe."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        cmd = [sys.executable, "-m", "bellmodel", "sample", "--n", "1000000"]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"n,x,y,i,j\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert err == b""
 
     @pytest.mark.parametrize("exc", [MemoryError(), RuntimeError("solver blew up\nsecond line")])
     def test_unexpected_failure_exits_2(self, capsys, monkeypatch, exc):

@@ -186,13 +186,23 @@ class TestTableMatchesGenericExpectations:
 
 
 class TestChshReport:
-    def test_combined_must_match_terms(self):
-        with pytest.raises(ValueError):
-            ChshReport(term_values=(1, 1, 1, -1), combined_value=2.0, bound=2.0, satisfied=True)
+    @pytest.mark.parametrize(
+        "terms, combined, satisfied",
+        [
+            ((1, 1, 1, -1), 4.0, False),
+            ((1, 1, 1, 1), 2.0, True),
+            ((0.5, 0.5, 0.5, -0.5), 2.0, True),
+        ],
+    )
+    def test_verdict_follows_terms(self, terms, combined, satisfied):
+        report = ChshReport(terms)
+        assert (report.combined_value, report.bound, report.satisfied) == (
+            combined, CHSH_BOUND, satisfied
+        )
 
-    def test_satisfied_must_match_bound(self):
-        with pytest.raises(ValueError):
-            ChshReport(term_values=(1, 1, 1, 1), combined_value=2.0, bound=2.0, satisfied=False)
+    def test_needs_four_terms(self):
+        with pytest.raises(ValueError, match="one term per setting-pair column"):
+            ChshReport((1.0, 1.0, 1.0))
 
     def test_combination_helper(self):
         assert chsh_combination((0.5, 0.5, 0.5, -0.5)) == 2.0
@@ -260,9 +270,9 @@ class TestBellOriginal:
         with pytest.raises(ValueError, match="anti-correlate"):
             bell_original(*BELL_TEST_ANGLES, SettingsDistribution.uniform())
 
-    def test_report_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            BellReport(lhs=1.0, rhs=0.5, satisfied=True)
+    def test_verdict_follows_sides(self):
+        assert not BellReport(lhs=1.0, rhs=0.5).satisfied
+        assert BellReport(lhs=0.5, rhs=0.5).satisfied
 
     def test_as_dict_fields(self):
         doc = bell_original(*BELL_TEST_ANGLES, BELL_TEST_SETTINGS).as_dict()

@@ -242,7 +242,6 @@ class TestFourierWitness:
             power=math.pi / 2,
             response_amplitude_max=0.99,
             grid_size=100,
-            contradiction=False,
         )
         assert not report.contradiction
 
@@ -457,14 +456,13 @@ class TestSeparabilitySearch:
         with pytest.raises(ValueError, match=r"^angles must be 4 DetectorAngle values \(a0, a1"):
             m_separability_search((0.0, 0.5, 1.0, 1.5), grid_size=2, restarts=0)
 
-    def test_result_consistency_enforced(self):
+    def test_m_hat_follows_deviations(self):
         good = m_separability_search(TSIRELSON_ANGLES, grid_size=2, restarts=0, seed=0)
-        with pytest.raises(ValueError):
-            SeparabilityResult(
-                m_hat=good.m_hat + 0.5,
-                model=good.model,
-                per_setting_deviations=good.per_setting_deviations,
-            )
+        worse = dict(good.per_setting_deviations)
+        worse[(1, 1, 0, 0)] = good.m_hat + 0.5
+        result = SeparabilityResult(good.model, worse, good.lower_bound)
+        assert result.m_hat == good.m_hat + 0.5
+        assert result.gap == result.m_hat - good.lower_bound
 
     def test_as_dict_is_json_ready(self):
         result = m_separability_search(TSIRELSON_ANGLES, grid_size=2, restarts=0, seed=0)

@@ -277,6 +277,25 @@ class TestSampling:
         with pytest.raises(ValueError, match=f"^{column} must be an integer array"):
             TrialSeries.from_columns(**columns, seed=0, measure_digest="")
 
+    def test_accepts_list_columns(self):
+        """Columns are array-likes, as the cells of `TrialSeries` are."""
+        columns = ([1, -1, -1], [-1, 1, -1], [0, 1, 1], [1, 0, 1])
+        arrays = [np.array(c, dtype=np.int8) for c in columns]
+        listed = TrialSeries.from_columns(*columns, seed=0, measure_digest="")
+        np.testing.assert_array_equal(
+            listed.cells, TrialSeries.from_columns(*arrays, seed=0, measure_digest="").cells
+        )
+
+    @pytest.mark.parametrize("column", ["x", "y", "i", "j"])
+    @pytest.mark.parametrize(
+        "bad", [np.int8(1), np.ones((2, 2), dtype=np.int8)], ids=["0-d", "2-d"]
+    )
+    def test_rejects_columns_not_1d(self, column, bad):
+        columns = {name: np.ones(2, dtype=np.int8) for name in ("x", "y", "i", "j")}
+        columns[column] = bad
+        with pytest.raises(ValueError, match="must be 1-d arrays of equal length"):
+            TrialSeries.from_columns(**columns, seed=0, measure_digest="")
+
     def test_accepts_wide_integer_columns(self):
         series = TrialSeries.from_columns(
             x=np.array([1, -1], dtype=np.int64),
@@ -629,19 +648,17 @@ class TestEmpiricalMeasure:
 
     def test_counts_validation(self):
         with pytest.raises(ValueError):
-            EmpiricalMeasure(counts=np.zeros(15, dtype=np.int64), n=0)
-        with pytest.raises(ValueError):
-            EmpiricalMeasure(counts=np.ones(16, dtype=np.int64), n=10)
+            EmpiricalMeasure(counts=np.zeros(15, dtype=np.int64))
 
     def test_negative_count_rejected(self):
         counts = np.zeros(16, dtype=np.int64)
         counts[:2] = [-1, 2]  # sums to n = 1
         with pytest.raises(ValueError, match="nonnegative"):
-            EmpiricalMeasure(counts=counts, n=1)
+            EmpiricalMeasure(counts=counts)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="at least one trial"):
-            EmpiricalMeasure(counts=np.zeros(16, dtype=np.int64), n=0)
+            EmpiricalMeasure(counts=np.zeros(16, dtype=np.int64))
 
     @pytest.mark.parametrize(
         "counts",
@@ -650,20 +667,19 @@ class TestEmpiricalMeasure:
     )
     def test_non_integer_counts_rejected(self, counts):
         with pytest.raises(ValueError, match="counts must be 16 integers"):
-            EmpiricalMeasure(counts=counts, n=1)
+            EmpiricalMeasure(counts=counts)
 
-    @pytest.mark.parametrize("n", [True, np.True_, 1.0, np.float64(1.0)])
-    def test_non_integer_n_rejected(self, n):
-        counts = np.zeros(16, dtype=np.int64)
-        counts[0] = 1
-        with pytest.raises(ValueError, match="n must be an integer"):
-            EmpiricalMeasure(counts=counts, n=n)
+    def test_trial_total_is_exact(self):
+        """An int64 sum of these counts wraps to 0."""
+        emp = EmpiricalMeasure(counts=[2**62] * 4 + [0] * 12)
+        assert emp.n == 2**64
+        assert emp.frequencies.tolist() == [0.25] * 4 + [0.0] * 12
 
     def test_counts_read_only(self):
-        """A write would break the checked sum: counts no longer add up to n."""
+        """A write would bypass the checks: a count could turn negative."""
         counts = np.zeros(16, dtype=np.int64)
         counts[0] = 1000
-        built = EmpiricalMeasure(counts=counts, n=1000)
+        built = EmpiricalMeasure(counts=counts)
         emp = empirical_measure(sample(chsh_measure(TSIRELSON_ANGLES), 1000, seed=1))
         for e in (built, emp):
             with pytest.raises(ValueError, match="read-only"):
@@ -688,7 +704,7 @@ class TestEmpiricalMeasure:
         m = chsh_measure(TSIRELSON_ANGLES, SettingsDistribution(0.5, 0.5, 0.0, 0.0))
         counts = np.zeros(16, dtype=np.int64)
         counts[8] = 5  # a cell in the (i=1, j=1) column, which has probability 0
-        assert chi_square_statistic(EmpiricalMeasure(counts=counts, n=5), m) == math.inf
+        assert chi_square_statistic(EmpiricalMeasure(counts=counts), m) == math.inf
 
     def test_chi_square_ignores_unobserved_impossible_cells(self):
         m = chsh_measure(TSIRELSON_ANGLES, SettingsDistribution(0.5, 0.5, 0.0, 0.0))
@@ -700,7 +716,7 @@ class TestEmpiricalMeasure:
     def test_chi_square_zero_on_exact_match(self):
         m = chsh_measure(TSIRELSON_ANGLES)
         counts = (m.probs * 160000).round().astype(np.int64)
-        emp = EmpiricalMeasure(counts=counts, n=int(counts.sum()))
+        emp = EmpiricalMeasure(counts=counts)
         # counts land within one trial of expectation, so the statistic is tiny
         assert chi_square_statistic(emp, m) < 1e-4
 

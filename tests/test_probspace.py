@@ -279,7 +279,7 @@ class TestChshOutcome:
 _ONE_POINT_MODEL = LHVModel(
     lambda_grid=[0.5], rho=[1.0], p_response=[[1.0], [0.0]], q_response=[[0.0], [1.0]]
 )
-_EMPIRICAL = EmpiricalMeasure(counts=np.ones(16, dtype=np.int64), n=16)
+_EMPIRICAL = EmpiricalMeasure(counts=np.ones(16, dtype=np.int64))
 
 
 @pytest.mark.parametrize("i, j", [(-1, 0), (2, 0), (0, -1), (0, 2), (True, 0), (0, 1.0)])
