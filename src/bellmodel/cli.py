@@ -50,6 +50,8 @@ from .montecarlo import (  # noqa: F401
     trial_csv,
 )
 from .probspace import (
+    _ANGLE_NAMES,
+    _COLUMN_LABELS,
     COLUMN_ORDER,
     ROW_ORDER,
     JointMeasure,
@@ -196,7 +198,7 @@ def _format(opts: _Options, default: str, allowed: tuple[str, ...]) -> str:
     return fmt
 
 
-def _angles_doc(angles: Sequence[DetectorAngle], names: Sequence[str]) -> dict:
+def _angles_doc(angles: Sequence[DetectorAngle], names: Sequence[str] = _ANGLE_NAMES) -> dict:
     return {name: a.radians for name, a in zip(names, angles)}
 
 
@@ -220,12 +222,10 @@ def _cmd_measure(opts: _Options) -> tuple[_Output, int]:
 
 
 def _measure_table(measure: JointMeasure) -> str:
-    lines = []
-    names = ("a0", "a1", "b0", "b1")
-    lines.append("angles:   " + "  ".join(f"{n}={a.radians:.6f}" for n, a in zip(names, measure.angles)))
+    angles = _angles_doc(measure.angles)
+    lines = ["angles:   " + "  ".join(f"{n}={v:.6f}" for n, v in angles.items())]
     lines.append("settings: " + "  ".join(f"{n}={p:.6f}" for n, p in measure.settings.items()))
-    header = ["x", "y"] + [f"a{i}b{j}" for (i, j) in COLUMN_ORDER]
-    rows = [header]
+    rows = [["x", "y", *_COLUMN_LABELS]]
     table = measure.table
     for row, (x, y) in enumerate(ROW_ORDER):
         cells = [sig17(table[row, i, j]) for (i, j) in COLUMN_ORDER]
@@ -249,13 +249,13 @@ def _cmd_chsh(opts: _Options) -> tuple[_Output, int]:
     if fmt == "json":
         return {
             "mode": mode,
-            "angles": _angles_doc(angles, ("a0", "a1", "b0", "b1")),
+            "angles": _angles_doc(angles),
             "settings": dict(settings.items()),
             **report.as_dict(),
         }, code
     lines = [f"mode: {mode}"]
-    for (i, j), t in zip(COLUMN_ORDER, report.term_values):
-        lines.append(f"term a{i}b{j}: {sig17(t)}")
+    for label, t in zip(_COLUMN_LABELS, report.term_values):
+        lines.append(f"term {label}: {sig17(t)}")
     lines.append(f"combined: {sig17(report.combined_value)}")
     lines.append(f"bound: {sig17(report.bound)}")
     lines.append(f"satisfied: {report.satisfied}")
@@ -288,7 +288,7 @@ def _cmd_nosignal(opts: _Options) -> tuple[_Output, int]:
     fmt = _format(opts, "table", ("table", "json"))
     report = no_signaling_report(chsh_measure(angles, settings))
     if fmt == "json":
-        return {"angles": _angles_doc(angles, ("a0", "a1", "b0", "b1")), **report.as_dict()}, 0
+        return {"angles": _angles_doc(angles), **report.as_dict()}, 0
     lines = []
     for (party, outcome, own, other), cond in report.conditional_marginals.items():
         lines.append(f"P[{party}={outcome:+d} | own={own}, other={other}] = {sig17(cond)}")
@@ -306,7 +306,7 @@ def _cmd_factorize(opts: _Options) -> tuple[_Output, int]:
     measure = chsh_measure(angles, SettingsDistribution.uniform())
     fit = factorizability_fit(measure, grid_points=grid, restarts=restarts)
     if fmt == "json":
-        return {"angles": _angles_doc(angles, ("a0", "a1", "b0", "b1")), **fit.as_dict()}, 0
+        return {"angles": _angles_doc(angles), **fit.as_dict()}, 0
     return "\n".join(f"{name}: {sig17(value)}" for name, value in fit.as_dict().items()), 0
 
 
@@ -336,7 +336,7 @@ def _cmd_lhv_fit(opts: _Options) -> tuple[_Output, int]:
     result = m_separability_search(angles, grid_size=grid, restarts=restarts, seed=seed)
     if fmt == "json":
         return {
-            "angles": _angles_doc(angles, ("a0", "a1", "b0", "b1")),
+            "angles": _angles_doc(angles),
             "grid_size": grid,
             "restarts": restarts,
             "seed": seed,
@@ -360,7 +360,8 @@ def _cmd_sample(opts: _Options) -> tuple[_Output, int]:
         return trial_csv(chunks), 0
     empirical = empirical_measure(chunks)
     partials = {
-        f"a{i}b{j}": empirical_partial_expectation(empirical, i, j) for (i, j) in COLUMN_ORDER
+        label: empirical_partial_expectation(empirical, i, j)
+        for label, (i, j) in zip(_COLUMN_LABELS, COLUMN_ORDER)
     }
     if fmt == "json":
         return {

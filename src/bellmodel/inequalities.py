@@ -35,7 +35,7 @@ from .probspace import (
     ZeroProbabilityError,
     chsh_measure,
 )
-from .singlet import DetectorAngle
+from .singlet import _ATOL, DetectorAngle
 
 __all__ = [
     "BELL_TEST_ANGLES",
@@ -50,8 +50,6 @@ __all__ = [
     "chsh_partial",
     "realism_table_check",
 ]
-
-_TOL = 1e-12
 
 #: Classical bound on the CHSH combination.
 CHSH_BOUND = 2.0
@@ -94,7 +92,7 @@ class ChshReport:
 
     @property
     def satisfied(self) -> bool:
-        return self.combined_value <= self.bound + _TOL
+        return self.combined_value <= self.bound + _ATOL
 
     def as_dict(self) -> dict:
         return {
@@ -156,7 +154,7 @@ class BellReport:
 
     @property
     def satisfied(self) -> bool:
-        return self.lhs <= self.rhs + _TOL
+        return self.lhs <= self.rhs + _ATOL
 
     def as_dict(self) -> dict:
         return {"lhs": self.lhs, "rhs": self.rhs, "satisfied": self.satisfied}

@@ -33,7 +33,7 @@ from .probspace import (
 )
 # `conditional_joint_probs` is not called here, `chsh_measure` is.  It stays
 # importable as bellmodel.lhv.conditional_joint_probs, a name only bench/layers.py looks up.
-from .singlet import DetectorAngle, conditional_joint_probs  # noqa: F401
+from .singlet import _ATOL, DetectorAngle, conditional_joint_probs  # noqa: F401
 
 __all__ = [
     "FourierWitnessReport",
@@ -48,8 +48,6 @@ __all__ = [
     "m_separability_search",
     "no_signaling_report",
 ]
-
-_ATOL = 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -204,6 +205,9 @@ class TrialSeries:
         return self.cells.shape[0]
 
     def __getitem__(self, n: int) -> ExperimentRecord:
+        # range() reads True as trial 1, and a slice fails inside numpy.
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise TypeError(f"trial index must be an integer, got {type(n).__name__}")
         index = range(len(self))[n]
         return ExperimentRecord(**vars(OUTCOME_ORDER[self.cells[index]]), n=index)
 
@@ -288,9 +292,12 @@ class EmpiricalMeasure:
         counts = np.asarray(self.counts)
         if counts.shape != (16,) or not np.issubdtype(counts.dtype, np.integer):
             raise ValueError("counts must be 16 integers, one per canonical cell")
-        counts = counts.astype(np.int64)  # a uint64 count past int64 turns negative below
-        if np.any(counts < 0):
+        # Python ints compare exactly; a uint64 count past int64 would wrap in the cast.
+        if int(counts.min()) < 0:
             raise ValueError("counts must be nonnegative")
+        if int(counts.max()) > 2**63 - 1:
+            raise ValueError("each count must be at most 2**63 - 1, the int64 limit")
+        counts = counts.astype(np.int64)
         counts.flags.writeable = False  # a private copy, so no write can make a count negative
         object.__setattr__(self, "counts", counts)
         if self.n < 1:

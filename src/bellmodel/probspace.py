@@ -26,13 +26,13 @@ import json
 import math
 import numbers
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Any
 
 import numpy as np
 
-from .singlet import DetectorAngle, conditional_joint_probs
+from .singlet import _ATOL, DetectorAngle, conditional_joint_probs
 
 __all__ = [
     "CELL_INDEX",
@@ -57,8 +57,6 @@ __all__ = [
     "sig17",
     "verify_expectation_relation",
 ]
-
-_ATOL = 1e-12
 
 
 class ZeroProbabilityError(ValueError):
@@ -254,19 +252,14 @@ class SettingsDistribution:
 
     @classmethod
     def from_mapping(cls, table: Mapping[tuple[int, int], float]) -> "SettingsDistribution":
-        return cls(
-            p00=table.get((0, 0), 0.0),
-            p01=table.get((0, 1), 0.0),
-            p10=table.get((1, 0), 0.0),
-            p11=table.get((1, 1), 0.0),
-        )
+        return cls(**{f"p{i}{j}": table.get((i, j), 0.0) for i in (0, 1) for j in (0, 1)})
 
     def probability(self, i: int, j: int) -> float:
         _setting_pair(i, j)
-        return {(0, 0): self.p00, (0, 1): self.p01, (1, 0): self.p10, (1, 1): self.p11}[(i, j)]
+        return getattr(self, f"p{i}{j}")
 
     def items(self) -> tuple[tuple[str, float], ...]:
-        return (("p00", self.p00), ("p01", self.p01), ("p10", self.p10), ("p11", self.p11))
+        return tuple((f.name, getattr(self, f.name)) for f in fields(self))
 
     def is_uniform(self, tol: float = _ATOL) -> bool:
         return all(abs(p - 0.25) <= tol for _name, p in self.items())
@@ -318,6 +311,10 @@ CELL_INDEX: np.ndarray = np.array(
 )
 CELL_INDEX.flags.writeable = False
 
+#: Names of the four detector orientations, in the order of a measure's angles.
+_ANGLE_NAMES = ("a0", "a1", "b0", "b1")
+
+#: Setting-pair labels aligned with `COLUMN_ORDER`.
 _COLUMN_LABELS = tuple(f"a{i}b{j}" for (i, j) in COLUMN_ORDER)
 
 
@@ -429,12 +426,7 @@ class JointMeasure:
 
     def as_dict(self) -> dict:
         return {
-            "angles": {
-                "a0": self.angles[0].radians,
-                "a1": self.angles[1].radians,
-                "b0": self.angles[2].radians,
-                "b1": self.angles[3].radians,
-            },
+            "angles": {name: a.radians for name, a in zip(_ANGLE_NAMES, self.angles)},
             "settings": dict(self.settings.items()),
             "cells": [
                 {"x": o.x, "y": o.y, "i": o.i, "j": o.j, "p": w}

@@ -71,6 +71,10 @@ class TestMeasure:
         )
         assert column_mass == pytest.approx(0.7, abs=1e-12)
 
+    def test_settings_uniform_word(self, capsys):
+        doc = run_json(capsys, "measure", "--settings", "Uniform", "--format", "json")
+        assert doc["settings"] == {"p00": 0.25, "p01": 0.25, "p10": 0.25, "p11": 0.25}
+
 
 class TestChsh:
     def test_conditional_json(self, capsys):
@@ -248,6 +252,13 @@ class TestConfigFile:
         cfg.write_text("strict = true\n")
         code, _, _ = run(capsys, "chsh", "--config", str(cfg))
         assert code == 1
+
+    def test_config_strict_off(self, capsys, tmp_path):
+        """The default conditional CHSH is violated; strict = off still exits 0."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("strict = off\nformat = json\n")
+        doc = run_json(capsys, "chsh", "--config", str(cfg))
+        assert doc["satisfied"] is False
 
     def test_bad_strict_value_writes_nothing(self, capsys, tmp_path):
         """An exit 2 never follows a whole document on stdout."""

@@ -342,6 +342,19 @@ class TestLHVModel:
                 q_response=np.array([[0.5], [0.5]]),
             )
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="lambda_grid must be a nonempty 1-d array"):
+            LHVModel(lambda_grid=np.array([]), rho=np.array([]),
+                     p_response=np.zeros((2, 0)), q_response=np.zeros((2, 0)))
+
+    @pytest.mark.parametrize("field", ["p_response", "q_response"])
+    def test_response_shape_rejected(self, field):
+        doc = {"lambda_grid": np.array([0.5]), "rho": np.array([1.0]),
+               "p_response": np.full((2, 1), 0.5), "q_response": np.full((2, 1), 0.5)}
+        doc[field] = np.full((1, 2), 0.5)
+        with pytest.raises(ValueError, match=r"responses must have shape \(2, 1\)"):
+            LHVModel(**doc)
+
     @staticmethod
     def one_point_doc(field, bad):
         """A valid one-point model's fields, with the first entry of ``field`` set to ``bad``."""

@@ -233,7 +233,18 @@ class TestSampling:
         rec = series[3]
         assert (rec.n, rec.x, rec.y, rec.i, rec.j) == (3, 1, 1, 0, 0)
         assert series[-1].n == 9
+        assert series[np.int64(2)].n == 2
         assert len(list(iter(series))) == 10
+        with pytest.raises(IndexError):
+            series[10]
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), slice(1, 3), 1.0, "1"])
+    def test_record_index_must_be_an_integer(self, bad):
+        """range() would read True as trial 1, and a slice would fail inside numpy."""
+        series = sample(degenerate_measure(), 10, seed=0)
+        message = f"^trial index must be an integer, got {type(bad).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            series[bad]
 
     @pytest.mark.parametrize(
         "column, bad",
@@ -276,6 +287,11 @@ class TestSampling:
         columns[column] = columns[column].astype(dtype)
         with pytest.raises(ValueError, match=f"^{column} must be an integer array"):
             TrialSeries.from_columns(**columns, seed=0, measure_digest="")
+
+    def test_rejects_empty_columns(self):
+        empty = np.array([], dtype=np.int8)
+        with pytest.raises(ValueError, match="at least one trial"):
+            TrialSeries.from_columns(empty, empty, empty, empty, seed=0, measure_digest="")
 
     def test_accepts_list_columns(self):
         """Columns are array-likes, as the cells of `TrialSeries` are."""
@@ -655,6 +671,17 @@ class TestEmpiricalMeasure:
         counts[:2] = [-1, 2]  # sums to n = 1
         with pytest.raises(ValueError, match="nonnegative"):
             EmpiricalMeasure(counts=counts)
+
+    @pytest.mark.parametrize("count", [2**63, 2**64 - 1])
+    def test_count_past_int64_rejected(self, count):
+        """Cast to int64, such a uint64 count would wrap negative."""
+        counts = np.array([count] + [0] * 15, dtype=np.uint64)
+        with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1, the int64 limit"):
+            EmpiricalMeasure(counts=counts)
+
+    def test_largest_int64_count_accepted(self):
+        counts = np.array([2**63 - 1] + [0] * 15, dtype=np.uint64)
+        assert EmpiricalMeasure(counts=counts).n == 2**63 - 1
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="at least one trial"):

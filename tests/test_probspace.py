@@ -29,6 +29,7 @@ from bellmodel.probspace import (
     partial_expectation,
     setting_event,
     sig17,
+    verify_expectation_relation,
 )
 from bellmodel.lhv import LHVModel, lhv_correlation, lhv_predicted_probs
 from bellmodel.montecarlo import EmpiricalMeasure, empirical_partial_expectation
@@ -148,6 +149,11 @@ class TestExpectationFlavors:
         with pytest.raises(ZeroProbabilityError):
             conditional_expectation(space, X, never)
 
+    def test_relation_on_null_event_raises(self):
+        never = Event(lambda o: False)
+        with pytest.raises(ZeroProbabilityError, match="only defined when P\\[A\\] > 0"):
+            verify_expectation_relation(dice_space(), X, never)
+
     def test_partial_on_null_event_is_zero(self):
         space = dice_space()
         never = Event(lambda o: False)
@@ -254,6 +260,13 @@ class TestSettingsDistribution:
     def test_probability_validates_indices(self):
         with pytest.raises(ValueError):
             SettingsDistribution.uniform().probability(2, 0)
+
+    def test_setting_pairs_match_fields(self):
+        table = {(0, 0): 0.1, (0, 1): 0.2, (1, 0): 0.3, (1, 1): 0.4}
+        s = SettingsDistribution(0.1, 0.2, 0.3, 0.4)
+        assert s.items() == (("p00", 0.1), ("p01", 0.2), ("p10", 0.3), ("p11", 0.4))
+        assert {pair: s.probability(*pair) for pair in table} == table
+        assert SettingsDistribution.from_mapping(table) == s
 
 
 class TestChshOutcome:
@@ -449,6 +462,11 @@ class TestMeasureConstruction:
             JointMeasure.from_probabilities(
                 TSIRELSON_ANGLES, SettingsDistribution.uniform(), [1.0] * 15
             )
+
+    def test_space_must_be_in_canonical_order(self):
+        space = FiniteProbabilitySpace(outcomes=OUTCOME_ORDER[::-1], weights=(0.0625,) * 16)
+        with pytest.raises(ValueError, match="16 points in canonical order"):
+            JointMeasure(space, TSIRELSON_ANGLES, SettingsDistribution.uniform())
 
     def test_settings_consistency_enforced(self):
         cells = {(1, 1, 0, 0): 1.0}

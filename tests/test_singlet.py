@@ -14,6 +14,7 @@ from bellmodel.singlet import (
     TSIRELSON_ANGLES,
     DetectorAngle,
     SingletState,
+    SpectralCoefficients,
     conditional_joint_probs,
     correlation,
     detector_operator,
@@ -163,6 +164,16 @@ class TestSpectralCoefficients:
     def test_normalized(self, a, b):
         sc = spectral_coefficients(DetectorAngle(a), DetectorAngle(b))
         assert sum(c * c for c in sc.psi.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rejects_wrong_outcome_pairs(self):
+        psi = {(1, 1): 0.5, (-1, 1): 0.5, (1, -1): 0.5, (0, 0): 0.5}
+        with pytest.raises(ValueError, match="unexpected outcome pairs"):
+            SpectralCoefficients(DetectorAngle(0.0), DetectorAngle(0.0), psi)
+
+    def test_rejects_unnormalized(self):
+        psi = {(1, 1): 0.5, (-1, 1): 0.5, (1, -1): 0.5, (-1, -1): 0.6}
+        with pytest.raises(ValueError, match="squared coefficients must sum to 1"):
+            SpectralCoefficients(DetectorAngle(0.0), DetectorAngle(0.0), psi)
 
 
 class TestConditionalJointProbs:
