@@ -84,6 +84,13 @@ def _setting_pair(i: object, j: object) -> None:
         raise ValueError(f"setting indices must be 0 or 1, got ({i!r}, {j!r})")
 
 
+def _known_keys(table: Mapping, keys: Iterable, what: str) -> None:
+    unknown = set(table).difference(keys)
+    if unknown:
+        names = ", ".join(sorted(map(repr, unknown)))  # mixed key types do not compare
+        raise ValueError(f"{what}, got {names}")
+
+
 def sig17(value: float) -> str:
     """Render a float with 17 significant digits (round-trip exact)."""
     return format(float(value), ".17g")
@@ -207,7 +214,6 @@ def verify_expectation_relation(
     space: FiniteProbabilitySpace,
     rv: RandomVariable,
     event: Event,
-    tol: float = _ATOL,
 ) -> bool:
     """Check partial = conditional * P[A] on a positive-probability event."""
     p = space.probability(event)
@@ -215,7 +221,7 @@ def verify_expectation_relation(
         raise ZeroProbabilityError("relation is only defined when P[A] > 0")
     lhs = partial_expectation(space, rv, event)
     rhs = conditional_expectation(space, rv, event) * p
-    return abs(lhs - rhs) <= tol
+    return abs(lhs - rhs) <= _ATOL
 
 
 def dice_space() -> FiniteProbabilitySpace:
@@ -240,8 +246,11 @@ class SettingsDistribution:
 
     def __post_init__(self) -> None:
         for name, p in self.items():
+            if not isinstance(p, numbers.Real):  # float() alone would parse "0.25"
+                raise ValueError(f"setting probability {name} must be a real number, got {p!r}")
             if not (p >= 0.0):
                 raise ValueError(f"setting probability {name} must be nonnegative, got {p!r}")
+            object.__setattr__(self, name, float(p))
         total = math.fsum(p for _name, p in self.items())
         if abs(total - 1.0) > _ATOL:
             raise ValueError(f"setting probabilities must sum to 1, got {total!r}")
@@ -252,7 +261,9 @@ class SettingsDistribution:
 
     @classmethod
     def from_mapping(cls, table: Mapping[tuple[int, int], float]) -> "SettingsDistribution":
-        return cls(**{f"p{i}{j}": table.get((i, j), 0.0) for i in (0, 1) for j in (0, 1)})
+        """Build from (i, j) -> probability; missing pairs are 0, any other key is an error."""
+        _known_keys(table, COLUMN_ORDER, "setting keys must be (i, j) of the 4 setting pairs")
+        return cls(**{f"p{i}{j}": table.get((i, j), 0.0) for (i, j) in COLUMN_ORDER})
 
     def probability(self, i: int, j: int) -> float:
         _setting_pair(i, j)
@@ -261,8 +272,8 @@ class SettingsDistribution:
     def items(self) -> tuple[tuple[str, float], ...]:
         return tuple((f.name, getattr(self, f.name)) for f in fields(self))
 
-    def is_uniform(self, tol: float = _ATOL) -> bool:
-        return all(abs(p - 0.25) <= tol for _name, p in self.items())
+    def is_uniform(self) -> bool:
+        return all(abs(p - 0.25) <= _ATOL for _name, p in self.items())
 
 
 @dataclass(frozen=True)
@@ -345,19 +356,23 @@ def _settings_distribution(settings: object) -> None:
 class JointMeasure:
     """Distribution over the 16 points (x, y, i, j) of the four-setting experiment.
 
-    The underlying space is always ordered by `OUTCOME_ORDER`, and the mass
-    of each setting-pair column must match the stated settings distribution.
+    ``probs`` holds the 16 weights in `OUTCOME_ORDER`, and the mass of each
+    setting-pair column must match the stated settings distribution.
     """
 
-    space: FiniteProbabilitySpace
+    probs: np.ndarray
     angles: tuple[DetectorAngle, DetectorAngle, DetectorAngle, DetectorAngle]
     settings: SettingsDistribution
 
     def __post_init__(self) -> None:
+        probs = np.array(self.probs, dtype=np.float64)  # a copy: the caller's array may change
+        if probs.shape != (16,):
+            raise ValueError(f"expected 16 cell weights, got shape {probs.shape}")
+        probs.flags.writeable = False
+        object.__setattr__(self, "probs", probs)
+        self.space  # the weight checks
         object.__setattr__(self, "angles", _detector_angles(self.angles))
         _settings_distribution(self.settings)
-        if self.space.outcomes != OUTCOME_ORDER:
-            raise ValueError("the space must enumerate the 16 points in canonical order")
         table = self.table
         for (i, j) in COLUMN_ORDER:
             mass = math.fsum(table[:, i, j])
@@ -382,24 +397,14 @@ class JointMeasure:
         """
         if isinstance(cells, Mapping):
             keys = [(o.x, o.y, o.i, o.j) for o in OUTCOME_ORDER]
-            unknown = set(cells).difference(keys)
-            if unknown:
-                names = ", ".join(sorted(map(repr, unknown)))  # mixed key types do not compare
-                raise ValueError(f"cell keys must be (x, y, i, j) of the 16 cells, got {names}")
-            weights = tuple(cells.get(key, 0.0) for key in keys)
-        else:
-            weights = tuple(float(c) for c in cells)
-            if len(weights) != 16:
-                raise ValueError(f"expected 16 cell weights, got {len(weights)}")
-        space = FiniteProbabilitySpace(outcomes=OUTCOME_ORDER, weights=weights)
-        return cls(space=space, angles=tuple(angles), settings=settings)
+            _known_keys(cells, keys, "cell keys must be (x, y, i, j) of the 16 cells")
+            cells = [cells.get(key, 0.0) for key in keys]
+        return cls(list(cells), angles, settings)
 
-    @cached_property
-    def probs(self) -> np.ndarray:
-        """All 16 weights as a read-only array aligned with `OUTCOME_ORDER`."""
-        probs = np.array(self.space.weights)
-        probs.flags.writeable = False
-        return probs
+    @property
+    def space(self) -> FiniteProbabilitySpace:
+        """The weights as a generic space over `OUTCOME_ORDER`, built on each access."""
+        return FiniteProbabilitySpace(OUTCOME_ORDER, self.probs.tolist())
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -410,12 +415,12 @@ class JointMeasure:
         return table
 
     def probability(self, x: int, y: int, i: int, j: int) -> float:
-        return self.space.weight(ChshOutcome(x=x, y=y, i=i, j=j))
+        return float(self.probs[OUTCOME_ORDER.index(ChshOutcome(x=x, y=y, i=i, j=j))])
 
     def column(self, i: int, j: int) -> dict[tuple[int, int], float]:
         """Joint weights p(x, y, i, j) of one setting-pair column."""
         _setting_pair(i, j)
-        return {xy: self.space.weights[CELL_INDEX[row, i, j]] for row, xy in enumerate(ROW_ORDER)}
+        return dict(zip(ROW_ORDER, self.table[:, i, j].tolist()))
 
     def conditional_column(self, i: int, j: int) -> dict[tuple[int, int], float]:
         """Outcome distribution p(x, y | i, j); errors if the pair has probability 0."""
@@ -430,7 +435,7 @@ class JointMeasure:
             "settings": dict(self.settings.items()),
             "cells": [
                 {"x": o.x, "y": o.y, "i": o.i, "j": o.j, "p": w}
-                for o, w in zip(OUTCOME_ORDER, self.space.weights)
+                for o, w in zip(OUTCOME_ORDER, self.probs.tolist())
             ],
         }
 
@@ -454,7 +459,7 @@ class JointMeasure:
         """SHA-256 over a canonical text rendering; identifies the measure."""
         parts = [sig17(a.radians) for a in self.angles]
         parts += [sig17(p) for _name, p in self.settings.items()]
-        parts += [sig17(w) for w in self.space.weights]
+        parts += [sig17(w) for w in self.probs.tolist()]
         return hashlib.sha256(";".join(parts).encode("ascii")).hexdigest()
 
 
@@ -477,5 +482,4 @@ def chsh_measure(
         p_ij = settings.probability(i, j)
         cond = conditional_joint_probs(a[i], b[j])
         weights.extend(p_ij * cond[xy] for xy in ROW_ORDER)
-    space = FiniteProbabilitySpace(outcomes=OUTCOME_ORDER, weights=tuple(weights))
-    return JointMeasure(space=space, angles=angles, settings=settings)
+    return JointMeasure(weights, angles, settings)

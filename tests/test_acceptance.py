@@ -180,7 +180,7 @@ def _exhaustive_product_residual(measure: JointMeasure, steps: int = 1001) -> fl
 
     tables = {pair: pair_table(*pair) for pair in COLUMN_ORDER}
 
-    def fold(A: np.ndarray, B: np.ndarray, chunk: int = 50) -> np.ndarray:
+    def fold(A: np.ndarray, B: np.ndarray, chunk: int = 1) -> np.ndarray:
         out = np.empty((steps, steps))
         tmp = np.empty((chunk, steps, steps))
         for lo in range(0, steps, chunk):

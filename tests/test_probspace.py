@@ -204,6 +204,22 @@ def small_spaces(draw):
     return FiniteProbabilitySpace(outcomes=tuple(range(n)), weights=weights)
 
 
+@st.composite
+def random_measures(draw):
+    """A joint measure with random cell weights (some may be 0) and angles."""
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16).filter(lambda w: sum(w) > 0))
+    total = math.fsum(raw)
+    weights = [w / total for w in raw]
+    settings = SettingsDistribution.from_mapping(
+        {
+            (i, j): math.fsum(w for o, w in zip(OUTCOME_ORDER, weights) if (o.i, o.j) == (i, j))
+            for (i, j) in COLUMN_ORDER
+        }
+    )
+    radians = draw(st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4))
+    return JointMeasure.from_probabilities(map(DetectorAngle, radians), settings, weights)
+
+
 class TestLinearityProperties:
     @given(
         small_spaces(),
@@ -256,6 +272,33 @@ class TestSettingsDistribution:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             SettingsDistribution(1.2, -0.2, 0.0, 0.0)
+
+    def test_fields_stored_as_float(self):
+        """A bool or an integer setting probability is kept as a float, so the
+        JSON agrees with the digest."""
+        s = SettingsDistribution(True, False, 0, 0)
+        assert s.items() == (("p00", 1.0), ("p01", 0.0), ("p10", 0.0), ("p11", 0.0))
+        assert all(type(p) is float for _name, p in s.items())
+        text = chsh_measure(TSIRELSON_ANGLES, s).to_json()
+        assert '"settings": {"p00": 1.0, "p01": 0.0, "p10": 0.0, "p11": 0.0}' in text
+
+    @pytest.mark.parametrize("value", ["0.25", None, complex(0.25, 0.0)])
+    def test_rejects_non_real(self, value):
+        with pytest.raises(ValueError, match=r"^setting probability p01 must be a real number"):
+            SettingsDistribution(0.25, value, 0.25, 0.25)
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [({(0, 2): 0.3}, "(0, 2)"), ({"p01": 0.0}, "'p01'")],
+        ids=["tuple-key", "str-key"],
+    )
+    def test_from_mapping_rejects_unknown_keys(self, extra, named):
+        """A key outside the four setting pairs is named, not dropped (with its weight)."""
+        table = {(0, 0): 0.5, (1, 1): 0.5, **extra}
+        with pytest.raises(
+            ValueError, match=r"^setting keys must be .* got " + re.escape(named) + "$"
+        ):
+            SettingsDistribution.from_mapping(table)
 
     def test_probability_validates_indices(self):
         with pytest.raises(ValueError):
@@ -463,10 +506,31 @@ class TestMeasureConstruction:
                 TSIRELSON_ANGLES, SettingsDistribution.uniform(), [1.0] * 15
             )
 
-    def test_space_must_be_in_canonical_order(self):
-        space = FiniteProbabilitySpace(outcomes=OUTCOME_ORDER[::-1], weights=(0.0625,) * 16)
-        with pytest.raises(ValueError, match="16 points in canonical order"):
-            JointMeasure(space, TSIRELSON_ANGLES, SettingsDistribution.uniform())
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            (np.full(15, 1 / 15), r"^expected 16 cell weights, got shape \(15,\)$"),
+            (np.full((4, 4), 0.0625), r"^expected 16 cell weights, got shape \(4, 4\)$"),
+            ([math.nan] + [1 / 15] * 15, r"^weights must be nonnegative, got nan$"),
+            ([-0.0625, 0.125] + [0.0625] * 14, r"^weights must be nonnegative, got -0.0625$"),
+            ([0.1] * 16, r"^weights must sum to 1 within "),
+        ],
+        ids=["shape-15", "shape-4x4", "nan", "negative", "bad-sum"],
+    )
+    def test_constructor_checks_probs(self, probs, message):
+        """The shape is checked by the measure; the weights by the one
+        `FiniteProbabilitySpace` check, with its messages."""
+        with pytest.raises(ValueError, match=message):
+            JointMeasure(probs, TSIRELSON_ANGLES, SettingsDistribution.uniform())
+
+    def test_probs_copied_from_caller(self):
+        weights = chsh_measure(TSIRELSON_ANGLES).probs.copy()
+        m = JointMeasure(weights, TSIRELSON_ANGLES, SettingsDistribution.uniform())
+        digest = m.digest()
+        weights[:] = 0.0625
+        assert m.probs.tolist() != weights.tolist()
+        assert m.digest() == digest
+        assert m.table[0, 0, 0] == m.probs[0] != 0.0625
 
     def test_settings_consistency_enforced(self):
         cells = {(1, 1, 0, 0): 1.0}
@@ -554,17 +618,14 @@ class TestCellIndex:
             m.table[0, 0, 0] = 1.0
         assert m.probs.tolist() == list(m.space.weights)
 
-    @given(st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16).filter(lambda w: sum(w) > 0))
-    def test_table_matches_probability(self, raw):
-        total = math.fsum(raw)
-        weights = [w / total for w in raw]
-        settings = SettingsDistribution.from_mapping(
-            {
-                (i, j): math.fsum(w for o, w in zip(OUTCOME_ORDER, weights) if (o.i, o.j) == (i, j))
-                for (i, j) in COLUMN_ORDER
-            }
-        )
-        m = JointMeasure.from_probabilities(TSIRELSON_ANGLES, settings, weights)
+    @given(random_measures())
+    def test_probs_is_the_stored_weights(self, m):
+        """`space` is built from `probs`, and `probs` rebuilds the same measure."""
+        assert m.space.weights == tuple(m.probs.tolist())
+        assert JointMeasure(m.probs, m.angles, m.settings).digest() == m.digest()
+
+    @given(random_measures())
+    def test_table_matches_probability(self, m):
         table = m.table
         for row, (x, y) in enumerate(ROW_ORDER):
             for (i, j) in COLUMN_ORDER:
