@@ -451,6 +451,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {detail}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -70,6 +70,13 @@ def _integer(name: str, value: object) -> int:
     return int(value)
 
 
+def _real(name: str, value: object) -> float:
+    # float() alone would parse "0.25"; None and complex are named here too.
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _seed(value: object) -> int:
     seed = _integer("seed", value)
     if not 0 <= seed < 2**64:
@@ -166,7 +173,7 @@ class FiniteProbabilitySpace:
 
     def __post_init__(self) -> None:
         outcomes = tuple(self.outcomes)
-        weights = tuple(float(w) for w in self.weights)
+        weights = tuple(_real("a weight", w) for w in self.weights)
         if len(outcomes) == 0:
             raise ValueError("a probability space needs at least one outcome")
         if len(outcomes) != len(weights):
@@ -246,11 +253,10 @@ class SettingsDistribution:
 
     def __post_init__(self) -> None:
         for name, p in self.items():
-            if not isinstance(p, numbers.Real):  # float() alone would parse "0.25"
-                raise ValueError(f"setting probability {name} must be a real number, got {p!r}")
-            if not (p >= 0.0):
+            value = _real(f"setting probability {name}", p)
+            if not (value >= 0.0):
                 raise ValueError(f"setting probability {name} must be nonnegative, got {p!r}")
-            object.__setattr__(self, name, float(p))
+            object.__setattr__(self, name, value)
         total = math.fsum(p for _name, p in self.items())
         if abs(total - 1.0) > _ATOL:
             raise ValueError(f"setting probabilities must sum to 1, got {total!r}")
@@ -365,12 +371,14 @@ class JointMeasure:
     settings: SettingsDistribution
 
     def __post_init__(self) -> None:
+        shape = np.shape(self.probs)
+        if shape != (16,):
+            raise ValueError(f"expected 16 cell weights, got shape {shape}")
+        # the weight checks, on the weights as given: numpy would parse "0.0625"
+        FiniteProbabilitySpace(OUTCOME_ORDER, tuple(self.probs))
         probs = np.array(self.probs, dtype=np.float64)  # a copy: the caller's array may change
-        if probs.shape != (16,):
-            raise ValueError(f"expected 16 cell weights, got shape {probs.shape}")
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
-        self.space  # the weight checks
         object.__setattr__(self, "angles", _detector_angles(self.angles))
         _settings_distribution(self.settings)
         table = self.table

@@ -74,6 +74,16 @@ class TestSpaceValidation:
         with pytest.raises(ValueError):
             FiniteProbabilitySpace(outcomes=("a",), weights=(1.0 + 1e-9,))
 
+    @pytest.mark.parametrize("value", ["0.5", None, complex(0.5, 0.0)], ids=["str", "None", "complex"])
+    def test_rejects_non_real(self, value):
+        with pytest.raises(ValueError, match=r"^a weight must be a real number, got "):
+            FiniteProbabilitySpace(outcomes=("a", "b"), weights=(0.5, value))
+
+    def test_numpy_weights_are_real(self):
+        space = FiniteProbabilitySpace(outcomes=("a", "b"), weights=(np.float32(0.5), np.float64(0.5)))
+        assert space.weights == (0.5, 0.5)
+        assert all(type(w) is float for w in space.weights)
+
     def test_weight_of_unknown_outcome_is_zero(self):
         space = FiniteProbabilitySpace(outcomes=("a",), weights=(1.0,))
         assert space.weight("zzz") == 0.0
@@ -522,6 +532,28 @@ class TestMeasureConstruction:
         `FiniteProbabilitySpace` check, with its messages."""
         with pytest.raises(ValueError, match=message):
             JointMeasure(probs, TSIRELSON_ANGLES, SettingsDistribution.uniform())
+
+    @pytest.mark.parametrize(
+        "value, named",
+        [("0.0625", "'0.0625'"), (None, "None"), (complex(0.0625, 0.0), r"\(0.0625\+0j\)")],
+        ids=["str", "None", "complex"],
+    )
+    @pytest.mark.parametrize("count", [1, 16], ids=["one", "all"])
+    def test_rejects_non_real(self, value, named, count):
+        """numpy would parse a str weight and read None as NaN; neither is a weight."""
+        cells = [0.0625] * (16 - count) + [value] * count
+        with pytest.raises(ValueError, match=r"^a weight must be a real number, got " + named + "$"):
+            JointMeasure.from_probabilities(TSIRELSON_ANGLES, SettingsDistribution.uniform(), cells)
+
+    def test_rejects_complex_array(self):
+        with pytest.raises(ValueError, match=r"^a weight must be a real number, got "):
+            JointMeasure(np.full(16, 0.0625, dtype=complex), TSIRELSON_ANGLES,
+                         SettingsDistribution.uniform())
+
+    def test_numpy_weights_are_real(self):
+        m = chsh_measure(TSIRELSON_ANGLES)
+        for probs in (list(m.probs), m.probs.astype(object), m.probs.astype(np.longdouble)):
+            assert JointMeasure(probs, m.angles, m.settings).digest() == m.digest()
 
     def test_probs_copied_from_caller(self):
         weights = chsh_measure(TSIRELSON_ANGLES).probs.copy()
