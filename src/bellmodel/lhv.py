@@ -428,21 +428,20 @@ class SeparabilityResult:
     predictions and the target over the 16 cells, i.e. the max of
     ``per_setting_deviations``.  ``lower_bound`` is the mixture LP's dual
     objective: no local model, on any latent grid, has a worst deviation
-    below it.  ``gap`` (derived) is ``m_hat - lower_bound``.  Both are None
-    when the LP solver failed.
+    below it.  ``gap`` (derived) is ``m_hat - lower_bound``.
     """
 
     model: LHVModel
     per_setting_deviations: dict[tuple[int, int, int, int], float]
-    lower_bound: float | None = None
+    lower_bound: float
 
     @property
     def m_hat(self) -> float:
         return max(self.per_setting_deviations.values(), default=0.0)
 
     @property
-    def gap(self) -> float | None:
-        return None if self.lower_bound is None else self.m_hat - self.lower_bound
+    def gap(self) -> float:
+        return self.m_hat - self.lower_bound
 
     def as_dict(self) -> dict:
         return {
@@ -534,17 +533,6 @@ def _place(size: int, p: np.ndarray, q: np.ndarray, weights: np.ndarray) -> np.n
     )
 
 
-def _product_start(size: int, target: np.ndarray) -> np.ndarray:
-    """Single latent point carrying the target's per-detector marginals.
-
-    Exact whenever the target itself factorizes into independent
-    per-orientation Bernoulli outcomes.
-    """
-    p = target[0, :, 0] + target[2, :, 0]  # P[X=+1 | a_i, b_0]
-    q = target[2, 0, :] + target[3, 0, :]  # P[Y=-1 | a_0, b_j]
-    return _place(size, p[:, None], q[:, None], np.ones(1))
-
-
 def _two_point_start(size: int, target: np.ndarray, i: int) -> np.ndarray:
     """Two latent points that reproduce both columns with A-setting i exactly.
 
@@ -567,14 +555,14 @@ def _deterministic_tables() -> np.ndarray:
     return _predicted_table(np.eye(16)[:, None, :], _STRATEGY_P, _STRATEGY_Q)
 
 
-def _solve_mixture_lp(target: np.ndarray) -> tuple[np.ndarray, float] | None:
+def _solve_mixture_lp(target: np.ndarray) -> tuple[np.ndarray, float]:
     """Mixture weights over the 16 deterministic strategies minimizing the worst deviation.
 
     Minimizing the largest cell deviation over such mixtures is a
     linear program, and its optimum is the true minimum over *all* local
     models: every local model predicts a convex mixture of the
     deterministic tables.  Returns the weights and the dual objective, a
-    lower bound on that minimum, or None if the solver fails.
+    lower bound on that minimum.  Raises RuntimeError if the solver fails.
     """
     columns = _deterministic_tables().reshape(16, 16).T  # one row per cell
     values = target.ravel()
@@ -596,7 +584,7 @@ def _solve_mixture_lp(target: np.ndarray) -> tuple[np.ndarray, float] | None:
         method="highs",
     )
     if not out.success:
-        return None
+        raise RuntimeError(f"mixture LP failed: {out.message}")
     # Dual objective from the marginals (sensitivities to each right-hand side
     # and bound); by weak duality no mixture does better.  Lower bounds are 0
     # and the deviation has no upper bound, so only the weights' bounds of 1 count.
@@ -640,15 +628,15 @@ def m_separability_search(
       is returned as is, provided its worst deviation is within 1e-12 of
       the certificate below.  ``restarts`` and ``seed`` are then ignored.
     * Search path: below the support the problem is non-convex.  This path
-      also runs if the LP solver fails, or if its vertex misses the
-      certificate by more than 1e-12 (HiGHS's feasibility tolerance is 1e-7,
-      which can matter on nearly degenerate tables).  A coarse-to-fine
-      cascade over latent grid sizes (``grid_size`` halved with floor
-      division down to 1, searched from 1 up: 12 gives 1, 3, 6, 12) runs
-      compass search at each level from structured starts, ``restarts``
-      seeded random starts, and the previous level's best embedded with
-      zero-weight padding, so no level gives a worse ``m_hat`` than the
-      level below it.
+      also runs if the LP vertex misses the certificate by more than 1e-12
+      (HiGHS's feasibility tolerance is 1e-7, which can matter on nearly
+      degenerate tables).  A coarse-to-fine cascade over latent grid sizes
+      (``grid_size`` halved with floor division down to 1, searched from 1
+      up: 12 gives 1, 3, 6, 12) runs compass search at each level from
+      structured starts, ``restarts`` seeded random starts, and the previous
+      level's best embedded with zero-weight padding, so no level gives a
+      worse ``m_hat`` than the level below it.  A failed LP solve raises
+      RuntimeError: no fit is returned without its certificate.
 
     The result's ``lower_bound`` is the LP's dual objective, a certificate
     that no local model on any grid does better; ``gap`` is how far
@@ -661,13 +649,12 @@ def m_separability_search(
     if restarts < 0:
         raise ValueError("restarts must be nonnegative")
     target = chsh_measure(angles).table * 4.0
-    lp = _solve_mixture_lp(target)
-    mixture_weights, lower_bound = lp if lp is not None else (None, None)
+    mixture_weights, lower_bound = _solve_mixture_lp(target)
     # At or above the support the packed mixture is the optimum up to the
     # solver's tolerance.  It is returned without search when its worst
     # deviation meets the dual bound; otherwise the search polishes it.
     best_theta: np.ndarray | None = None
-    if mixture_weights is not None and grid_size >= np.count_nonzero(mixture_weights):
+    if grid_size >= np.count_nonzero(mixture_weights):
         packed = _mixture_start(grid_size, mixture_weights)
         if _objective(packed, grid_size, target) <= lower_bound + _ATOL:
             best_theta = packed
@@ -677,9 +664,7 @@ def m_separability_search(
             starts: list[np.ndarray] = []
             if best_theta is not None:
                 starts.append(_place(size, *_unpack(best_theta, best_theta.shape[0] // 5)))
-            if mixture_weights is not None:
-                starts.append(_mixture_start(size, mixture_weights))
-            starts.append(_product_start(size, target))
+            starts.append(_mixture_start(size, mixture_weights))
             starts.append(np.full(5 * size, 0.5))
             if size >= 2:
                 starts.extend(_two_point_start(size, target, i) for i in (0, 1))

@@ -123,15 +123,21 @@ def trial_csv(chunks: Iterable[np.ndarray]) -> Iterator[str]:
     yield "n,x,y,i,j\n"
     start = 0
     for cells in chunks:
-        _check_cells(cells)  # the suffix lookup would take -1 as cell 15
+        cells = _check_cells(cells)  # the suffix lookup would take -1 as cell 15
         yield _csv_rows(start, cells)
         start += len(cells)
 
 
-def _check_cells(cells: np.ndarray) -> None:
+def _check_cells(cells: object) -> np.ndarray:
+    """``cells`` as a ``uint8`` array, after checking that it is a 1-d
+    integer array of canonical cell indices 0-15; it may be empty."""
+    cells = np.asarray(cells)
+    if cells.ndim != 1 or not np.issubdtype(cells.dtype, np.integer):
+        raise ValueError(f"cells must be a non-empty 1-d integer array, got {cells.dtype}")
     # min/max compare without arithmetic, so no integer width can wrap.
-    if cells.min() < 0 or cells.max() > 15:
+    if cells.size and (cells.min() < 0 or cells.max() > 15):
         raise ValueError("cells must hold only canonical cell indices 0-15")
+    return cells.astype(np.uint8, copy=False)
 
 
 @dataclass(frozen=True)
@@ -150,23 +156,22 @@ class TrialSeries:
     ValueError) and is stored read-only; the int8 columns x, y (+-1) and
     i, j (0/1) derive from it.
     ``measure_digest`` ties the series to the measure it was drawn from and
-    ``generator`` names the sampling algorithm, so a stored series can be
-    re-derived and audited.
+    ``generator`` (the class attribute `GENERATOR_ID`) names the sampling
+    algorithm, so a stored series can be re-derived and audited.
     """
 
     cells: np.ndarray
     seed: int
     measure_digest: str
-    generator: str = GENERATOR_ID
+    generator = GENERATOR_ID
 
     def __post_init__(self) -> None:
-        cells = np.asarray(self.cells)
-        if cells.ndim != 1 or cells.size == 0 or not np.issubdtype(cells.dtype, np.integer):
-            raise ValueError(f"cells must be a non-empty 1-d integer array, got {cells.dtype}")
-        _check_cells(cells)
+        cells = _check_cells(self.cells)
+        if cells.size == 0:
+            raise ValueError("cells must be a non-empty 1-d integer array, got an empty one")
         # A read-only view: a later write could put an index outside 0-15,
         # and a view leaves the caller's own array writable without a copy.
-        cells = cells.astype(np.uint8, copy=False).view()
+        cells = cells.view()
         cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
 
@@ -321,7 +326,7 @@ def empirical_measure(trials: TrialSeries | Iterable[np.ndarray]) -> EmpiricalMe
     chunks = trials._chunks() if isinstance(trials, TrialSeries) else trials
     counts = np.zeros(16, dtype=np.int64)
     for cells in chunks:
-        counts += np.bincount(cells, minlength=16)
+        counts += np.bincount(_check_cells(cells), minlength=16)
     return EmpiricalMeasure(counts)
 
 

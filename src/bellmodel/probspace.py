@@ -84,10 +84,14 @@ def _seed(value: object) -> int:
     return seed
 
 
+def _integers_in(values: tuple, allowed: tuple[int, int]) -> bool:
+    # `in` alone admits True and 1.0; numpy reads an index True as a mask.
+    return all(isinstance(k, numbers.Integral) and not isinstance(k, bool) and k in allowed
+               for k in values)
+
+
 def _setting_pair(i: object, j: object) -> None:
-    # `in (0, 1)` alone admits True and 1.0; numpy reads an index True as a mask.
-    if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) and k in (0, 1)
-               for k in (i, j)):
+    if not _integers_in((i, j), (0, 1)):
         raise ValueError(f"setting indices must be 0 or 1, got ({i!r}, {j!r})")
 
 
@@ -292,7 +296,7 @@ class ChshOutcome:
     j: int
 
     def __post_init__(self) -> None:
-        if self.x not in (-1, 1) or self.y not in (-1, 1):
+        if not _integers_in((self.x, self.y), (-1, 1)):
             raise ValueError(f"outcomes must be -1 or +1, got x={self.x!r} y={self.y!r}")
         _setting_pair(self.i, self.j)
 

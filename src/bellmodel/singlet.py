@@ -53,7 +53,7 @@ def _canonical_radians(value: float) -> float:
     v = math.fmod(float(value), math.pi)
     if v < 0.0:
         v += math.pi
-    if v >= math.pi:  # fmod rounding can land exactly on pi
+    if v >= math.pi:  # fmod is exact, but pi plus a tiny negative remainder rounds to pi
         v -= math.pi
     return v
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellmodel import lhv
+from bellmodel.cli import main
 from bellmodel.lhv import (
     FourierWitnessReport,
     LHVModel,
@@ -584,14 +585,16 @@ class TestExactPath:
         assert m_separability_search(angles, **kwargs).m_hat == m_hat
         assert searches
 
-    def test_solver_failure_falls_back_to_search(self, monkeypatch):
-        failed = SimpleNamespace(success=False)
+    def test_solver_failure_raises(self, monkeypatch, capsys):
+        """No fit is returned without its certificate."""
+        failed = SimpleNamespace(success=False, message="stub")
         monkeypatch.setattr(lhv, "linprog", lambda *_args, **_kwargs: failed)
-        result = m_separability_search(TSIRELSON_ANGLES, grid_size=16, restarts=0, seed=0)
-        assert result.lower_bound is None and result.gap is None
-        assert result.m_hat >= M_LOWER_BOUND - 1e-9
-        doc = result.as_dict()
-        assert doc["lower_bound"] is None and doc["gap"] is None
+        with pytest.raises(RuntimeError, match="stub"):
+            m_separability_search(TSIRELSON_ANGLES, grid_size=16, restarts=0, seed=0)
+        assert main(["lhv-fit", "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "stub" in err and err.count("\n") == 1
 
     @settings(max_examples=6, deadline=None)
     @given(angles=st.lists(st.floats(0.0, math.pi), min_size=4, max_size=4))
@@ -612,6 +615,7 @@ class TestExactPath:
             m_separability_search(angles, grid_size=g, restarts=0, seed=0) for g in (1, 2, 4, 8, 16)
         ]
         for r in results:
+            assert isinstance(r.lower_bound, float) and math.isfinite(r.gap)
             assert r.lower_bound <= r.m_hat + 1e-12
         for coarse, fine in zip(results, results[1:]):
             assert fine.m_hat <= coarse.m_hat + 1e-12

@@ -227,6 +227,9 @@ class TestSampling:
         assert series.generator == GENERATOR_ID
         assert series.measure_digest == m.digest()
         assert series.seed == 9
+        # the generator id is the algorithm's, not a constructor argument
+        with pytest.raises(TypeError):
+            TrialSeries(np.array([1, 2]), 0, "", "not-a-generator")
 
     def test_record_access(self):
         series = sample(degenerate_measure(), 10, seed=0)
@@ -520,6 +523,31 @@ class TestStreaming:
         assert emp.counts.tolist() == [1, 0, 0, 1] + [0] * 11 + [2]
         with pytest.raises(ValueError, match="at least one trial"):
             empirical_measure(iter([]))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([0.0, 1.0]), "^cells must be a non-empty 1-d integer array"),
+            (np.array([True, False]), "^cells must be a non-empty 1-d integer array"),
+            (np.zeros((2, 2), dtype=np.uint8), "^cells must be a non-empty 1-d integer array"),
+            (np.array([]), "^cells must be a non-empty 1-d integer array"),
+            (np.array([0, 16], dtype=np.uint8), "^cells must hold only"),
+        ],
+        ids=["float", "bool", "2-d", "empty-float", "cell-16"],
+    )
+    @pytest.mark.parametrize("consumer", [trial_csv, empirical_measure])
+    def test_chunk_checked_as_series_cells(self, consumer, bad, message):
+        """A malformed chunk raises the ValueError `TrialSeries` raises for it."""
+        with pytest.raises(ValueError, match=message):
+            TrialSeries(cells=bad, seed=0, measure_digest="")
+        with pytest.raises(ValueError, match=message):
+            list(consumer([np.array([0, 1], dtype=np.uint8), bad]))
+
+    def test_empty_and_wide_chunks(self):
+        """An empty chunk adds no rows and no counts; any integer width is read as cells."""
+        chunks = [np.array([0, 1], dtype=np.uint64), np.array([], dtype=np.uint8), np.array([3])]
+        assert "".join(trial_csv(chunks)) == "n,x,y,i,j\n0,1,1,0,0\n1,-1,1,0,0\n2,-1,-1,0,0\n"
+        assert empirical_measure(chunks).counts.tolist() == [1, 1, 0, 1] + [0] * 12
 
     def test_stream_peak_memory_bounded(self):
         """Drawing and counting a long run holds one chunk at a time: its

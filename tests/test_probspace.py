@@ -335,6 +335,25 @@ class TestChshOutcome:
         with pytest.raises(ValueError):
             ChshOutcome(x=1, y=1, i=2, j=0)
 
+    @pytest.mark.parametrize("x, y", [(True, 1), (1, 1.0), (-1.0, 1), (1, False)])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            ChshOutcome,
+            chsh_measure(TSIRELSON_ANGLES).probability,
+            EmpiricalMeasure(counts=np.ones(16, dtype=np.int64)).count,
+        ],
+        ids=["ChshOutcome", "probability", "count"],
+    )
+    def test_rejects_bool_and_float_outcomes(self, call, x, y):
+        """Outcomes follow the setting indices' rule: non-bool integers only."""
+        with pytest.raises(ValueError, match="^outcomes must be -1 or \\+1"):
+            call(x, y, 0, 0)
+
+    def test_numpy_integer_outcomes(self):
+        o = ChshOutcome(x=np.int8(1), y=np.int64(-1), i=np.int32(0), j=np.uint8(1))
+        assert o == ChshOutcome(1, -1, 0, 1)
+
     def test_canonical_order_is_column_major(self):
         assert len(OUTCOME_ORDER) == 16
         assert OUTCOME_ORDER[0] == ChshOutcome(1, 1, 0, 0)
