@@ -272,6 +272,7 @@ def sample_chunks(measure: JointMeasure, n: int, seed: int) -> Iterator[np.ndarr
             cells = np.zeros(u.size, dtype=np.uint8)
             for threshold in thresholds:
                 cells += u >= threshold
+            del u  # not held while the consumer works on the cells
             yield cells
 
     return chunks()

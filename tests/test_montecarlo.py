@@ -551,9 +551,10 @@ class TestStreaming:
 
     def test_stream_peak_memory_bounded(self):
         """Drawing and counting a long run holds one chunk at a time: its
-        uniforms and cells, and the wider copy of the cells that bincount
-        makes, about 17 bytes per trial of a chunk and nothing per trial of
-        the run."""
+        uniforms while the cells are drawn, then the cells and the wider
+        copy of them that bincount makes, never the uniforms and that copy
+        together: about 11 bytes per trial of a chunk and nothing per trial
+        of the run."""
         m = chsh_measure(TSIRELSON_ANGLES)
         tracemalloc.start()
         try:
@@ -562,7 +563,7 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert emp.n == 64 * CHUNK
-        assert peak < 20 * CHUNK
+        assert peak < 12 * CHUNK
 
 
 class TestSerialization:
