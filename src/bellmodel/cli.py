@@ -23,7 +23,7 @@ import math
 import os
 import re
 import sys
-from typing import Any, Callable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from . import __version__
 from .inequalities import (
@@ -426,28 +426,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(pieces: Iterable[str]) -> None:
+    """Write to stdout and flush it; a reader that closed stdout is not a failure."""
+    try:
+        for piece in pieces:  # the trial CSV arrives one chunk of trials at a time
+            sys.stdout.write(piece)
+        sys.stdout.flush()
+    except BrokenPipeError:  # stop writing
+        # fd 1 on devnull, so that the flush at interpreter exit finds no pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse wrote help, the version or a usage error
+        if sys.stdout is not None:  # without fd 1, argparse writes to stderr
+            _write(())
         return int(exc.code or 0)
     try:
+        if sys.stdout is None:  # the process started with fd 1 closed
+            raise OSError("stdout is closed")
         output, code = args.handler(_Options(args))
         if isinstance(output, dict):
             output = json.dumps(output)
         if isinstance(output, str):
             output = [output if output.endswith("\n") else output + "\n"]
-        try:
-            for piece in output:  # the trial CSV arrives one chunk of trials at a time
-                sys.stdout.write(piece)
-            sys.stdout.flush()
-        except BrokenPipeError:  # the reader closed stdout: stop writing, not a failure
-            # fd 1 on devnull, so that the flush at interpreter exit finds no pipe
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _write(output)
         return code
     except Exception as exc:  # exit 1 is reserved for a violation under --strict
         detail = exc if isinstance(exc, (ValueError, OSError)) else repr(exc)
         print(f"error: {detail}", file=sys.stderr)
         return 2
-

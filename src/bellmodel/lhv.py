@@ -9,8 +9,9 @@ Four related questions about the measured probability table:
 * `fourier_witness_check`: a quadrature demonstration that no response
   function bounded in [0, 1] can reproduce the singlet correlation exactly;
   the required first-harmonic amplitude works out to sqrt 2 > 1.
-* `m_separability_search`: numerical search for a finite hidden-variable
-  model whose predictions stay within m of the table, minimizing m.
+* `m_separability_search`: the finite hidden-variable model whose
+  predictions stay within m of the table, minimizing m: in closed form on a
+  grid of at least its (at most 5) latent points, by compass search below.
 
 The hidden-variable models here (`LHVModel`) are local: a latent value
 lambda is drawn from a finite distribution, then each detector answers
@@ -25,7 +26,9 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.optimize import linprog
+# `linprog` is not called here: the local optimum has a closed form.  It stays
+# importable as bellmodel.lhv.linprog, a name only bench/layers.py looks up.
+from scipy.optimize import linprog  # noqa: F401
 
 from .probspace import (
     COLUMN_ORDER, ROW_ORDER, STRATEGY_ANSWERS, JointMeasure, _integer, _seed, _setting_pair,
@@ -33,7 +36,7 @@ from .probspace import (
 )
 # `conditional_joint_probs` is not called here, `chsh_measure` is.  It stays
 # importable as bellmodel.lhv.conditional_joint_probs, a name only bench/layers.py looks up.
-from .singlet import _ATOL, DetectorAngle, conditional_joint_probs  # noqa: F401
+from .singlet import DetectorAngle, conditional_joint_probs  # noqa: F401
 
 __all__ = [
     "FourierWitnessReport",
@@ -209,7 +212,8 @@ def factorizability_fit(
     alternate both detectors' exact replies while the residual strictly
     falls, and the lowest wins.  Each reply minimizes its block exactly, so
     no start ends worse than it began.  Requires uniform settings: the
-    product form fixes every setting-pair probability at 1/4.
+    product form fixes every setting-pair probability at 1/4.  On a singlet
+    table the answer is known: every parameter 1/2, residual sum E_ij^2 / 64.
     """
     grid_points, restarts = _integer("grid_points", grid_points), _integer("restarts", restarts)
     if not measure.settings.is_uniform():
@@ -426,9 +430,10 @@ class SeparabilityResult:
 
     ``m_hat`` (derived) is the largest absolute deviation between the model's
     predictions and the target over the 16 cells, i.e. the max of
-    ``per_setting_deviations``.  ``lower_bound`` is the mixture LP's dual
-    objective: no local model, on any latent grid, has a worst deviation
-    below it.  ``gap`` (derived) is ``m_hat - lower_bound``.
+    ``per_setting_deviations``.  ``lower_bound`` is the closed-form optimum
+    m = max(0, (S - 2) / 16) of `_local_optimum`, S the largest CHSH value:
+    no local model, on any latent grid, has a worst deviation below it.
+    ``gap`` (derived) is ``m_hat - lower_bound``.
     """
 
     model: LHVModel
@@ -545,65 +550,61 @@ def _two_point_start(size: int, target: np.ndarray, i: int) -> np.ndarray:
     return _place(size, p, np.stack((c, 1.0 - c), axis=1), np.full(2, 0.5))
 
 
-def _deterministic_tables() -> np.ndarray:
-    """Predicted tables of all 16 deterministic strategies, shape (16, 4, 2, 2).
+#: The 8 CHSH sign patterns over E[i, j]: an odd number of -1.
+_CHSH_SIGNS = np.concatenate((1.0 - 2.0 * np.eye(4), 2.0 * np.eye(4) - 1.0)).reshape(8, 2, 2)
+#: Row a is the answer pattern (+1, (-1)^a) over two settings.
+_H2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+_CHSH_SIGNS.flags.writeable = _H2.flags.writeable = False
 
-    Strategy k gives the answers (x0, x1, y0, y1) of row k of
-    `STRATEGY_ANSWERS`.  Every local model's prediction is a convex mixture
-    of these tables.
+
+def _local_optimum(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Best local model of a singlet table in closed form: (p, q, rho, m).
+
+    Every marginal of the target is 1/2, so each cell is (1 + xy E_ij) / 4.
+    By Fine's theorem the local correlators are the convex hull of the
+    deterministic ones +-h_ab, h_ab[i, j] = H2[a, i] H2[b, j], whose facets
+    are the 8 CHSH inequalities.  The CHSH sum of the cells moves by at most
+    16 m, so with S the largest CHSH value no local model beats
+    m = max(0, (S - 2) / 16), and E' = E - 4 m s (s that pattern) is local:
+    E' = sum c_ab h_ab with c = H2 E' H2 / 4 and sum |c| <= 1.  For each b
+    one latent point, with B answering (+1, (-1)^b) and A's mean answer
+    sum_a c_ab H2[a] / w_b, realizes weight w_b = sum_a |c_ab|; it and its
+    mirror image (every answer flipped) carry w_b / 2 each, so every
+    marginal stays 1/2.  A point answering 1/2 everywhere takes the weight
+    left over.  That is at most 5 points (4 when S > 2), m from the target.
     """
-    return _predicted_table(np.eye(16)[:, None, :], _STRATEGY_P, _STRATEGY_Q)
+    e = target[0] - target[1] - target[2] + target[3]
+    chsh = (_CHSH_SIGNS * e).sum(axis=(1, 2))
+    best = int(np.argmax(chsh))
+    m = max(0.0, (float(chsh[best]) - 2.0) / 16.0)
+    c = _H2 @ (e - 4.0 * m * _CHSH_SIGNS[best]) @ _H2 / 4.0
+    weight = np.abs(c).sum(axis=0)
+    pairs = np.flatnonzero(weight > 0.0)
+    mean = (_H2 @ c)[:, pairs] / weight[pairs]
+    q = (1.0 - _H2[:, pairs]) / 2.0
+    p = np.concatenate((1.0 + mean, 1.0 - mean), axis=1) / 2.0
+    q = np.concatenate((q, 1.0 - q), axis=1)
+    rho = np.tile(weight[pairs] / 2.0, 2)
+    rest = 1.0 - float(weight.sum())
+    if rest > 1e-15:
+        p = np.pad(p, ((0, 0), (0, 1)), constant_values=0.5)
+        q = np.pad(q, ((0, 0), (0, 1)), constant_values=0.5)
+        rho = np.append(rho, rest)
+    return p, q, rho, m
 
 
-def _solve_mixture_lp(target: np.ndarray) -> tuple[np.ndarray, float]:
-    """Mixture weights over the 16 deterministic strategies minimizing the worst deviation.
-
-    Minimizing the largest cell deviation over such mixtures is a
-    linear program, and its optimum is the true minimum over *all* local
-    models: every local model predicts a convex mixture of the
-    deterministic tables.  Returns the weights and the dual objective, a
-    lower bound on that minimum.  Raises RuntimeError if the solver fails.
-    """
-    columns = _deterministic_tables().reshape(16, 16).T  # one row per cell
-    values = target.ravel()
-    cost = np.zeros(17)
-    cost[16] = 1.0
-    # interleaved pairs: table - m <= target and -table - m <= -target
-    a_ub = np.full((2 * len(values), 17), -1.0)
-    a_ub[:, :16] = np.stack((columns, -columns), axis=1).reshape(-1, 16)
-    b_ub = np.stack((values, -values), axis=1).ravel()
-    a_eq = np.zeros((1, 17))
-    a_eq[0, :16] = 1.0
-    out = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=[(0.0, 1.0)] * 16 + [(0.0, None)],
-        method="highs",
-    )
-    if not out.success:
-        raise RuntimeError(f"mixture LP failed: {out.message}")
-    # Dual objective from the marginals (sensitivities to each right-hand side
-    # and bound); by weak duality no mixture does better.  Lower bounds are 0
-    # and the deviation has no upper bound, so only the weights' bounds of 1 count.
-    lower_bound = float(
-        b_ub @ out.ineqlin.marginals + out.eqlin.marginals[0] + out.upper.marginals[:16].sum()
-    )
-    return np.clip(out.x[:16], 0.0, 1.0), lower_bound
+def _strategy_weights(p: np.ndarray, q: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Weight sum over lambda of rho * P(answers of strategy k | lambda), shape (16,)."""
+    x = np.where(_STRATEGY_P[:, :, None] == 1.0, p[:, None], 1.0 - p[:, None])  # (2, 16, size)
+    y = np.where(_STRATEGY_Q[:, :, None] == 1.0, q[:, None], 1.0 - q[:, None])
+    return (x.prod(axis=0) * y.prod(axis=0)) @ rho
 
 
-def _mixture_start(size: int, weights: np.ndarray) -> np.ndarray:
-    """Pack LP mixture weights as a search start on ``size`` latent points.
-
-    With at least as many latent points as the support of the mixture the
-    start already achieves the LP optimum; smaller grids keep the heaviest
-    strategies, renormalized.
-    """
-    keep = np.argsort(weights)[::-1][:size]
-    kept = weights[keep]
-    return _place(size, _STRATEGY_P[:, keep], _STRATEGY_Q[:, keep], kept / float(kept.sum()))
+def _heaviest(size: int, p: np.ndarray, q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Search start from the ``size`` heaviest of the latent points (p, q, w), renormalized."""
+    keep = np.argsort(w)[::-1][:size]
+    kept = w[keep]
+    return _place(size, p[:, keep], q[:, keep], kept / float(kept.sum()))
 
 
 def m_separability_search(
@@ -617,30 +618,25 @@ def m_separability_search(
     The target is the conditional table p(x, y | a_i, b_j) at the given
     orientations (a0, a1, b0, b1): the `chsh_measure` table under uniform
     settings, times 4, and all 16 of its cells are compared.  Scaling by 1/4
-    and back is exact unless a cell is subnormal.  Every local model predicts
-    a convex mixture of the 16 deterministic strategies (Fine's theorem), so a
-    linear program over the mixture weights gives the exact optimum over all
-    local models.  Call the number of strategies with nonzero weight in its
-    solution the *support*.
+    and back is exact unless a cell is subnormal.  `_local_optimum` gives
+    the best local model in closed form, on at most 5 latent points (4 when
+    the table violates a CHSH inequality), and its worst deviation m.
 
-    * Exact path: when ``grid_size`` is at least the support, the LP mixture
-      placed on ``grid_size`` latent points (unused points carry weight 0)
-      is returned as is, provided its worst deviation is within 1e-12 of
-      the certificate below.  ``restarts`` and ``seed`` are then ignored.
-    * Search path: below the support the problem is non-convex.  This path
-      also runs if the LP vertex misses the certificate by more than 1e-12
-      (HiGHS's feasibility tolerance is 1e-7, which can matter on nearly
-      degenerate tables).  A coarse-to-fine cascade over latent grid sizes
-      (``grid_size`` halved with floor division down to 1, searched from 1
-      up: 12 gives 1, 3, 6, 12) runs compass search at each level from
-      structured starts, ``restarts`` seeded random starts, and the previous
-      level's best embedded with zero-weight padding, so no level gives a
-      worse ``m_hat`` than the level below it.  A failed LP solve raises
-      RuntimeError: no fit is returned without its certificate.
+    * Exact path: when ``grid_size`` is at least the model's size, that
+      model is returned, padded with points of weight 0.  ``restarts`` and
+      ``seed`` are then ignored.
+    * Search path: below that size the problem is non-convex.  A
+      coarse-to-fine cascade over latent grid sizes (``grid_size`` halved
+      with floor division down to 1, searched from 1 up: 3 gives 1, 3) runs
+      compass search at each level from the previous level's best embedded
+      with zero-weight padding, the model's heaviest points, its heaviest
+      deterministic strategies, structured starts and ``restarts`` seeded
+      random starts, so no level gives a worse ``m_hat`` than the level
+      below it.
 
-    The result's ``lower_bound`` is the LP's dual objective, a certificate
-    that no local model on any grid does better; ``gap`` is how far
-    ``m_hat`` sits above it (at most 1e-12 on the exact path).
+    The result's ``lower_bound`` is m, a certificate that no local model on
+    any grid does better; ``gap`` is how far ``m_hat`` sits above it (within
+    rounding of 0 on the exact path).
     """
     grid_size, restarts = _integer("grid_size", grid_size), _integer("restarts", restarts)
     seed = _seed(seed)
@@ -649,22 +645,19 @@ def m_separability_search(
     if restarts < 0:
         raise ValueError("restarts must be nonnegative")
     target = chsh_measure(angles).table * 4.0
-    mixture_weights, lower_bound = _solve_mixture_lp(target)
-    # At or above the support the packed mixture is the optimum up to the
-    # solver's tolerance.  It is returned without search when its worst
-    # deviation meets the dual bound; otherwise the search polishes it.
-    best_theta: np.ndarray | None = None
-    if grid_size >= np.count_nonzero(mixture_weights):
-        packed = _mixture_start(grid_size, mixture_weights)
-        if _objective(packed, grid_size, target) <= lower_bound + _ATOL:
-            best_theta = packed
-    if best_theta is None:
+    model_p, model_q, model_rho, lower_bound = _local_optimum(target)
+    if grid_size >= model_rho.size:
+        best_theta = _place(grid_size, model_p, model_q, model_rho)
+    else:
+        strategy_weights = _strategy_weights(model_p, model_q, model_rho)
+        best_theta = None
         for size in [grid_size >> k for k in range(int(grid_size).bit_length())][::-1]:
             fn = lambda t: _objective(t, size, target)  # noqa: E731
             starts: list[np.ndarray] = []
             if best_theta is not None:
                 starts.append(_place(size, *_unpack(best_theta, best_theta.shape[0] // 5)))
-            starts.append(_mixture_start(size, mixture_weights))
+            starts.append(_heaviest(size, model_p, model_q, model_rho))
+            starts.append(_heaviest(size, _STRATEGY_P, _STRATEGY_Q, strategy_weights))
             starts.append(np.full(5 * size, 0.5))
             if size >= 2:
                 starts.extend(_two_point_start(size, target, i) for i in (0, 1))

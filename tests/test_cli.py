@@ -167,8 +167,7 @@ class TestLhvFitCertificate:
         assert doc["gap"] == doc["m_hat"] - doc["lower_bound"]
 
     def test_json_structure(self, capsys):
-        """Key order and the 16 deviation records, in table order; no digest
-        pins this output, since its digits depend on the LP solver."""
+        """Key order and the 16 deviation records, in table order."""
         doc = run_json(capsys, "lhv-fit", "--format", "json")
         assert list(doc) == [
             "angles", "grid_size", "restarts", "seed", "m_hat", "lower_bound", "gap",

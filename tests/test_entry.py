@@ -106,10 +106,8 @@ def test_module_entry_writes_what_main_writes(capsys, monkeypatch, argv, expecte
 @pytest.mark.parametrize("argv, expected", CLOSED_PIPE, ids=[" ".join(a) for a, _ in CLOSED_PIPE])
 def test_closed_stdout_keeps_the_exit_code(argv, expected, unbuffered):
     """A reader that closed stdout before the process started: the exit code
-    is the request's and stderr stays empty.  With a buffered stdout,
-    argparse leaves the --help and --version text in the buffer, and the
-    interpreter's final flush reports the broken pipe and exits 120; the
-    entry's fallback to `sys.exit` keeps that as it was."""
+    is the request's and stderr stays empty, also when argparse leaves the
+    --help or --version text in a buffered stdout."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -120,11 +118,16 @@ def test_closed_stdout_keeps_the_exit_code(argv, expected, unbuffered):
                               stderr=subprocess.PIPE, env=env)
     finally:
         os.close(write)
-    if unbuffered or argv[0] not in ("--help", "--version"):
-        assert (proc.returncode, proc.stderr.decode()) == (expected, "")
-    else:
-        assert proc.returncode == 120
-        assert proc.stderr.decode().splitlines()[-1] == "BrokenPipeError: [Errno 32] Broken pipe"
+    assert (proc.returncode, proc.stderr.decode()) == (expected, "")
+
+
+@pytest.mark.parametrize("argv", [["chsh"], ["sample", "--n", "10"]], ids=" ".join)
+def test_closed_fd1_is_one_error_line(argv):
+    """Started with fd 1 closed, Python has no sys.stdout: a request that
+    writes a document says so on one line and exits 2."""
+    proc = subprocess.run([sys.executable, "-m", "bellmodel", *argv],
+                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr.decode()) == (2, "error: stdout is closed\n")
 
 
 def test_installed_command_runs_the_entry():

@@ -3,7 +3,6 @@
 import json
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellmodel import lhv
-from bellmodel.cli import main
 from bellmodel.lhv import (
     FourierWitnessReport,
     LHVModel,
@@ -198,6 +196,21 @@ class TestFactorizabilityFit:
             best = lhv._product_residual(params, target)
             for k in own:
                 assert best <= scan_min(params, k, target) + 1e-15
+
+    # Tables with every |E_ij| = 1 (angles apart by multiples of pi/2) take
+    # about 9 s each: there the alternating replies of the non-winning starts
+    # converge sublinearly, for some 60,000 rounds.
+    @settings(max_examples=20, deadline=None)
+    @given(angles=st.lists(st.floats(0.0, math.pi), min_size=4, max_size=4))
+    def test_singlet_fit_is_the_flat_table(self, angles):
+        """For a singlet table under uniform settings the residual is
+        sum_ij [a_i^2 + b_j^2 + (a_i b_j - E_ij)^2] / 64 with a = 2u - 1 and
+        b = 2v - 1, least at u = v = 1/2, where it is sum E_ij^2 / 64."""
+        fit = factorizability_fit(chsh_measure(tuple(DetectorAngle(a) for a in angles)))
+        e = [-math.cos(2.0 * (angles[i] - angles[2 + j])) for i in (0, 1) for j in (0, 1)]
+        assert abs(fit.residual - sum(x * x for x in e) / 64.0) <= 1e-15
+        for p in fit.params():
+            assert p == pytest.approx(0.5, abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fit_is_a_best_reply_for_both_detectors(self, seed):
@@ -486,17 +499,48 @@ class TestSeparabilitySearch:
         assert len(doc["model"]["rho"]) == 2
 
 
-def capture_linprog(monkeypatch):
-    """Record every result the mixture LP's solver returns."""
-    results = []
-    solve = lhv.linprog
+def lp_optimum(target):
+    """The test's oracle: HiGHS's optimum of the 17-variable mixture LP.
 
-    def recording(*args, **kwargs):
-        results.append(solve(*args, **kwargs))
-        return results[-1]
+    Minimizes m over weights w on the 16 deterministic strategies, with
+    |sum_k w_k T_k - target| <= m on every cell; T_k is strategy k's table.
+    HiGHS's tolerances are absolute, 1e-7 by default and 1e-10 at least: at
+    1e-7 it reports m = 0 for angles (0, 1e-9, 0, 1), whose CHSH violation
+    of 1.8e-9 gives m = 1.1e-10.  So it solves at 1e-10 for the weights and
+    m scaled by 1e4, which leaves a violation of 1e-14 in the cells.
+    """
+    from scipy.optimize import linprog
 
-    monkeypatch.setattr(lhv, "linprog", recording)
-    return results
+    scale = 1e4
+    tables = np.zeros((16, 4, 2, 2))
+    for k in range(16):
+        x = tuple(1 if (k >> b) & 1 else -1 for b in (0, 1))
+        y = tuple(1 if (k >> b) & 1 else -1 for b in (2, 3))
+        for row, (xo, yo) in enumerate(ROW_ORDER):
+            for i in (0, 1):
+                for j in (0, 1):
+                    tables[k, row, i, j] = float(x[i] == xo and y[j] == yo)
+    columns = tables.reshape(16, 16).T
+    ones = np.ones((16, 1))
+    a_ub = np.vstack((np.hstack((columns, -ones)), np.hstack((-columns, -ones))))
+    b_ub = scale * np.concatenate((target.ravel(), -target.ravel()))
+    out = linprog(np.eye(17)[16], A_ub=a_ub, b_ub=b_ub, A_eq=[[1.0] * 16 + [0.0]], b_eq=[scale],
+                  bounds=[(0.0, scale)] * 16 + [(0.0, None)], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert out.success, out.message
+    return float(out.fun) / scale
+
+
+def forbid_search(monkeypatch):
+    def no_search(*_args, **_kwargs):
+        raise AssertionError("compass search ran at a grid covering the model")
+
+    monkeypatch.setattr(lhv, "_pattern_search", no_search)
+
+
+def target_of(angles):
+    return chsh_measure(angles).table * 4.0
 
 
 class TestStrategyTables:
@@ -510,13 +554,15 @@ class TestStrategyTables:
                     for j in (0, 1):
                         if x[i] == xo and y[j] == yo:
                             reference[k, row, i, j] = 1.0
-        np.testing.assert_array_equal(lhv._deterministic_tables(), reference)
+        tables = lhv._predicted_table(np.eye(16)[:, None, :], lhv._STRATEGY_P, lhv._STRATEGY_Q)
+        np.testing.assert_array_equal(tables, reference)
 
     def test_mixture_start_packs_strategies(self):
         weights = np.zeros(16)
         weights[[5, 10, 3]] = [0.5, 0.3, 0.2]
         size = 4
-        p, q, rho = lhv._unpack(lhv._mixture_start(size, weights), size)
+        start = lhv._heaviest(size, lhv._STRATEGY_P, lhv._STRATEGY_Q, weights)
+        p, q, rho = lhv._unpack(start, size)
         np.testing.assert_array_equal(rho, [0.5, 0.3, 0.2, 0.0])
         for slot, k in enumerate((5, 10, 3)):
             for b in (0, 1):
@@ -524,19 +570,19 @@ class TestStrategyTables:
                 assert q[b, slot] == 1.0 - float((k >> (2 + b)) & 1)  # Y answers -1
 
 
-class TestExactPath:
-    @pytest.mark.parametrize("grid", [8, 16, 64])
-    def test_returns_lp_optimum_without_search(self, monkeypatch, grid):
-        def no_search(*_args, **_kwargs):
-            raise AssertionError("compass search ran at a grid covering the LP support")
+SKEWED_ANGLES = tuple(DetectorAngle(a) for a in (0.03, 0.80, 1.93, 2.71))
+SKEWED3_ANGLES = tuple(DetectorAngle(a) for a in (0.4, 2.9, 1.1, 0.25))
+#: a local target (largest CHSH value 1.929; A's two orientations 1e-6 apart), 5-point model
+DEGENERATE_ANGLES = tuple(DetectorAngle(a) for a in (1e-6, 0.0, 1.4375, 0.21875))
 
-        monkeypatch.setattr(lhv, "_pattern_search", no_search)
-        solved = capture_linprog(monkeypatch)
+
+class TestExactPath:
+    @pytest.mark.parametrize("grid", [4, 8, 16, 64])
+    def test_returns_lp_optimum_without_search(self, monkeypatch, grid):
+        forbid_search(monkeypatch)
         result = m_separability_search(TSIRELSON_ANGLES, grid_size=grid, restarts=8, seed=7)
-        assert len(solved) == 1
-        assert abs(result.m_hat - solved[0].fun) <= 1e-12
-        assert abs(result.lower_bound - solved[0].fun) <= 1e-12
-        assert result.gap <= 1e-9
+        assert result.gap <= 1e-15
+        assert abs(result.lower_bound - lp_optimum(target_of(TSIRELSON_ANGLES))) <= 1e-12
         assert result.model.size == grid
 
     def test_certificate_in_json(self):
@@ -550,8 +596,6 @@ class TestExactPath:
         [
             pytest.param(TSIRELSON_ANGLES, dict(grid_size=2, restarts=2, seed=3),
                          0.1767766952966369, id="tsirelson-grid2"),
-            pytest.param(TSIRELSON_ANGLES, dict(grid_size=4, restarts=2, seed=3),
-                         0.16000300818111868, id="tsirelson-grid4"),
             pytest.param(TSIRELSON_ANGLES, dict(grid_size=1, restarts=0, seed=0),
                          0.1767766952966369, id="grid1"),
             # levels 1, 3: the ladder halves with floor division
@@ -560,16 +604,8 @@ class TestExactPath:
             # a seeded random start wins the grid-3 level
             pytest.param(TSIRELSON_ANGLES, dict(grid_size=3, restarts=3, seed=11),
                          0.1758465191782561, id="grid3-restarts3"),
-            pytest.param(tuple(DetectorAngle(a) for a in (0.03, 0.80, 1.93, 2.71)),
-                         dict(grid_size=4, restarts=0, seed=0),
-                         0.15782398966259803, id="skewed-grid4"),
-            pytest.param(tuple(DetectorAngle(a) for a in (0.4, 2.9, 1.1, 0.25)),
-                         dict(grid_size=3, restarts=1, seed=5),
-                         0.0861371727687564, id="skewed-grid3"),
-            # the LP vertex misses the dual bound, so the search polishes it
-            pytest.param(tuple(DetectorAngle(a) for a in (1e-6, 0.0, 1.4375, 0.21875)),
-                         dict(grid_size=8, restarts=0, seed=0),
-                         1.347574368759652e-08, id="degenerate-grid8"),
+            pytest.param(SKEWED3_ANGLES, dict(grid_size=3, restarts=1, seed=5),
+                         0.08371508409088446, id="skewed-grid3"),
         ],
     )
     def test_below_support_values_pinned(self, monkeypatch, angles, kwargs, m_hat):
@@ -585,30 +621,46 @@ class TestExactPath:
         assert m_separability_search(angles, **kwargs).m_hat == m_hat
         assert searches
 
-    def test_solver_failure_raises(self, monkeypatch, capsys):
-        """No fit is returned without its certificate."""
-        failed = SimpleNamespace(success=False, message="stub")
-        monkeypatch.setattr(lhv, "linprog", lambda *_args, **_kwargs: failed)
-        with pytest.raises(RuntimeError, match="stub"):
-            m_separability_search(TSIRELSON_ANGLES, grid_size=16, restarts=0, seed=0)
-        assert main(["lhv-fit", "--format", "json"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: ") and "stub" in err and err.count("\n") == 1
+    @pytest.mark.parametrize(
+        "angles, kwargs, m_hat",
+        [
+            pytest.param(TSIRELSON_ANGLES, dict(grid_size=4, restarts=2, seed=3),
+                         0.05177669529663689, id="tsirelson-grid4"),
+            pytest.param(SKEWED_ANGLES, dict(grid_size=4, restarts=0, seed=0),
+                         0.0505466601329535, id="skewed-grid4"),
+            pytest.param(DEGENERATE_ANGLES, dict(grid_size=8, restarts=0, seed=0),
+                         5.551115123125783e-17, id="degenerate-grid8"),
+        ],
+    )
+    def test_exact_path_values_pinned(self, monkeypatch, angles, kwargs, m_hat):
+        """At or above the model's size the closed-form model is returned as is."""
+        forbid_search(monkeypatch)
+        result = m_separability_search(angles, **kwargs)
+        assert result.m_hat == m_hat
+        assert abs(result.gap) <= 1e-15
+
+    @pytest.mark.parametrize("grid", [1, 2, 3, 4, 8, 16, 64])
+    @pytest.mark.parametrize(
+        "angles", [TSIRELSON_ANGLES, SKEWED_ANGLES, SKEWED3_ANGLES, DEGENERATE_ANGLES],
+        ids=["tsirelson", "skewed", "skewed3", "degenerate"],
+    )
+    def test_no_solver_runs(self, monkeypatch, angles, grid):
+        def no_solver(*_args, **_kwargs):
+            raise AssertionError("an LP solver ran")
+
+        monkeypatch.setattr(lhv, "linprog", no_solver)
+        result = m_separability_search(angles, grid_size=grid, restarts=0, seed=0)
+        assert result.lower_bound <= result.m_hat + 1e-15
 
     @settings(max_examples=6, deadline=None)
     @given(angles=st.lists(st.floats(0.0, math.pi), min_size=4, max_size=4))
-    # nearly degenerate: HiGHS's vertex misses the bound by 8e-8, more than
-    # the grid-4 search's 2e-8, so the grid-8 fit must polish it
+    # the local DEGENERATE_ANGLES target, whose model has 5 points
     @example(angles=[1e-06, 0.0, 1.4375, 0.21875])
     def test_certificate_and_ladder_property(self, angles):
-        """The dual bound never exceeds m_hat and the grid ladder never rises.
+        """The bound never exceeds m_hat and the grid ladder never rises.
 
-        HiGHS solves to a feasibility tolerance of 1e-7, so neither its vertex
-        nor its duals are exact.  The exact path is taken only when the vertex
-        meets the dual bound within 1e-12, which keeps the ladder monotone;
-        the 1e-12 tolerance here covers what the solver's tolerance leaves in
-        the bound itself, which on this 17-variable LP stays below it.
+        The bound and the exact path's model are closed forms, so the 1e-12
+        tolerance here covers only rounding in the 16 cell deviations.
         """
         angles = tuple(DetectorAngle(a) for a in angles)
         results = [
@@ -619,6 +671,26 @@ class TestExactPath:
             assert r.lower_bound <= r.m_hat + 1e-12
         for coarse, fine in zip(results, results[1:]):
             assert fine.m_hat <= coarse.m_hat + 1e-12
+
+
+class TestLocalOptimum:
+    @settings(max_examples=60, deadline=None)
+    @given(angles=st.lists(st.floats(0.0, math.pi), min_size=4, max_size=4))
+    @example(angles=[0.0, 0.0, 0.0, 0.0])
+    @example(angles=[0.0, 1e-09, 0.0, 1.0])
+    @example(angles=[0.0, 3.125, 1e-09, 0.0])
+    @example(angles=[1e-06, 0.0, 1.4375, 0.21875])
+    def test_closed_form_is_the_lp_optimum(self, angles):
+        """A valid model on at most 5 points (4 when a CHSH value exceeds 2),
+        whose worst deviation is m, and m is the LP's optimum."""
+        target = target_of(tuple(DetectorAngle(a) for a in angles))
+        p, q, rho, m = lhv._local_optimum(target)
+        model = LHVModel(lambda_grid=np.arange(rho.size, dtype=float), rho=rho,
+                         p_response=p, q_response=q)
+        assert model.size <= (4 if m > 0.0 else 5)
+        worst = float(np.max(np.abs(lhv._predicted_table(rho, p, q) - target)))
+        assert worst <= m + 1e-15
+        assert abs(m - lp_optimum(target)) <= 1e-12
 
 
 class TestSearchVector:
@@ -659,10 +731,10 @@ class TestSearchVector:
     ],
 )
 def test_sizes_and_seeds_must_be_integers(monkeypatch, function, argument, value):
-    def no_lp(*_args, **_kwargs):
-        raise AssertionError("the LP ran before the argument was checked")
+    def no_optimum(*_args, **_kwargs):
+        raise AssertionError("the local optimum was computed before the argument was checked")
 
-    monkeypatch.setattr(lhv, "linprog", no_lp)
+    monkeypatch.setattr(lhv, "_local_optimum", no_optimum)
     positional = {
         fourier_witness_check: (),
         factorizability_fit: (chsh_measure(TSIRELSON_ANGLES),),
@@ -682,10 +754,10 @@ class TestSeedValidation:
     @pytest.mark.parametrize("seed", [-1, 2**64])
     @pytest.mark.parametrize("grid, restarts", [(16, 8), (4, 0), (4, 1)])
     def test_out_of_range_seed_rejected_before_lp(self, monkeypatch, seed, grid, restarts):
-        def no_lp(*_args, **_kwargs):
-            raise AssertionError("the LP ran before the seed was checked")
+        def no_optimum(*_args, **_kwargs):
+            raise AssertionError("the local optimum was computed before the seed was checked")
 
-        monkeypatch.setattr(lhv, "linprog", no_lp)
+        monkeypatch.setattr(lhv, "_local_optimum", no_optimum)
         with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
             m_separability_search(TSIRELSON_ANGLES, grid_size=grid, restarts=restarts, seed=seed)
 
