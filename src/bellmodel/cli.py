@@ -69,10 +69,9 @@ __all__ = ["main"]
 _MAX_N = 10_000_000
 #: Largest accepted --restarts.
 _MAX_RESTARTS = 1000
-#: Largest accepted --grid per subcommand: factorize scans grid^2 points,
-#: witness holds a few complex arrays of grid nodes, lhv-fit builds a model
-#: on grid latent points.
-_MAX_GRID = {"factorize": 32, "witness": 1_000_000, "lhv-fit": 1024}
+#: Largest accepted --grid per subcommand: witness holds a few complex arrays
+#: of grid nodes, lhv-fit builds a model on grid latent points.
+_MAX_GRID = {"witness": 1_000_000, "lhv-fit": 1024}
 
 #: Largest accepted --config file, in characters; reading stops one past it,
 #: so an endless file such as /dev/zero is rejected, not read until memory runs out.
@@ -301,10 +300,7 @@ def _cmd_nosignal(opts: _Options) -> tuple[_Output, int]:
 def _cmd_factorize(opts: _Options) -> tuple[_Output, int]:
     angles = _parse_angles(opts, 4, TSIRELSON_ANGLES)
     fmt = _format(opts, "table", ("table", "json"))
-    grid = opts.get_int("grid", 21, _MAX_GRID["factorize"])
-    restarts = opts.get_int("restarts", 5, _MAX_RESTARTS)
-    measure = chsh_measure(angles, SettingsDistribution.uniform())
-    fit = factorizability_fit(measure, grid_points=grid, restarts=restarts)
+    fit = factorizability_fit(chsh_measure(angles, SettingsDistribution.uniform()))
     if fmt == "json":
         return {"angles": _angles_doc(angles), **fit.as_dict()}, 0
     return "\n".join(f"{name}: {sig17(value)}" for name, value in fit.as_dict().items()), 0
@@ -410,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
                  "evaluate the original single-sided inequality (3 angles: a0, shared, b1)"),
         "nosignal": (_cmd_nosignal, ("angles", "settings", "format", "degrees"),
                      "report single-detector marginals across the other detector's settings"),
-        "factorize": (_cmd_factorize, ("angles", "format", "grid", "restarts", "degrees"),
+        "factorize": (_cmd_factorize, ("angles", "format", "degrees"),
                       "fit the best product-form table (uniform settings)"),
         "witness": (_cmd_witness, ("format", "grid"),
                     "run the response-amplitude quadrature check"),

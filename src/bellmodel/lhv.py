@@ -5,7 +5,8 @@ Four related questions about the measured probability table:
 * `no_signaling_report`: does either detector's outcome distribution depend
   on the *other* detector's setting?  (For the quantum table it never does.)
 * `factorizability_fit`: how close is the table to a product of independent
-  per-detector Bernoulli outcomes, one parameter per orientation?
+  per-detector Bernoulli outcomes, one parameter per orientation?  In closed
+  form when no outcome is biased, by alternating exact replies otherwise.
 * `fourier_witness_check`: a quadrature demonstration that no response
   function bounded in [0, 1] can reproduce the singlet correlation exactly;
   the required first-harmonic amplitude works out to sqrt 2 > 1.
@@ -36,7 +37,7 @@ from .probspace import (
 )
 # `conditional_joint_probs` is not called here, `chsh_measure` is.  It stays
 # importable as bellmodel.lhv.conditional_joint_probs, a name only bench/layers.py looks up.
-from .singlet import DetectorAngle, conditional_joint_probs  # noqa: F401
+from .singlet import _ATOL, DetectorAngle, conditional_joint_probs  # noqa: F401
 
 __all__ = [
     "FourierWitnessReport",
@@ -206,14 +207,15 @@ def factorizability_fit(
 ) -> ProductFit:
     """Least-squares fit of a Bernoulli-product table to the measure.
 
-    With one detector's parameters fixed, the other's best reply is exact
-    (`_best_response`).  A coarse scan pairs each of ``grid_points``^2 values
-    of B's (v0, v1) with A's exact reply; the ``restarts`` best of these then
-    alternate both detectors' exact replies while the residual strictly
-    falls, and the lowest wins.  Each reply minimizes its block exactly, so
-    no start ends worse than it began.  Requires uniform settings: the
-    product form fixes every setting-pair probability at 1/4.  On a singlet
-    table the answer is known: every parameter 1/2, residual sum E_ij^2 / 64.
+    Requires uniform settings: the product form fixes every setting-pair
+    probability at 1/4.  When no detector's outcome is biased at any setting
+    pair (within `_ATOL`, as on every singlet table), each cell is
+    (1 + xy E_ij) / 16 and the fit is closed form: every parameter 1/2,
+    residual sum E_ij^2 / 64.  With a = 2u - 1 and b = 2v - 1 the residual
+    exceeds that by sum_ij [a_i^2 + b_j^2 - 2 a_i b_j E_ij + a_i^2 b_j^2] / 64,
+    at least sum_ij [(|a_i| - |b_j|)^2 + a_i^2 b_j^2] / 64 >= 0 as |E_ij| <= 1.
+    Any other table goes to `_reply_search` with ``grid_points`` and
+    ``restarts``.
     """
     grid_points, restarts = _integer("grid_points", grid_points), _integer("restarts", restarts)
     if not measure.settings.is_uniform():
@@ -223,6 +225,24 @@ def factorizability_fit(
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     target = measure.table
+    a_bias = target[0] + target[2] - target[1] - target[3]
+    b_bias = target[0] + target[1] - target[2] - target[3]
+    if max(np.abs(a_bias).max(), np.abs(b_bias).max()) <= _ATOL:
+        flat = np.full(4, 0.5)
+        return ProductFit(*flat.tolist(), residual=float(_product_residual(flat, target)))
+    return _reply_search(target, grid_points, restarts)
+
+
+def _reply_search(target: np.ndarray, grid_points: int, restarts: int) -> ProductFit:
+    """Product fit of the (row, i, j) table ``target`` by alternating exact replies.
+
+    With one detector's parameters fixed, the other's best reply is exact
+    (`_best_response`).  A coarse scan pairs each of ``grid_points``^2 values
+    of B's (v0, v1) with A's exact reply; the ``restarts`` best of these then
+    alternate both detectors' exact replies while the residual strictly
+    falls, and the lowest wins.  Each reply minimizes its block exactly, so
+    no start ends worse than it began.
+    """
     mirrored = target[[0, 2, 1, 3]].transpose(0, 2, 1)
 
     axis = np.linspace(0.0, 1.0, grid_points)

@@ -143,6 +143,22 @@ class TestAnalysisCommands:
         doc = run_json(capsys, "factorize", "--format", "json")
         assert doc["residual"] == pytest.approx(1 / 32, abs=1e-9)
 
+    @pytest.mark.parametrize("angles", ["--angles=0,0,0,0", "--angles=0,0,1.5707963267948966,0"])
+    def test_factorize_unit_correlators(self, capsys, angles):
+        """Every |E_ij| = 1: the flat table, exactly."""
+        code, out, _ = run(capsys, "factorize", angles)
+        assert code == 0
+        assert out == (
+            "p_plus_a0: 0.5\np_plus_a1: 0.5\np_plus_b0: 0.5\np_plus_b1: 0.5\nresidual: 0.0625\n"
+        )
+
+    @pytest.mark.parametrize("flag", [("--grid", "3"), ("--restarts", "2")])
+    def test_factorize_takes_no_search_flags(self, capsys, flag):
+        code, out, err = run(capsys, "factorize", *flag)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+
     def test_witness(self, capsys):
         doc = run_json(capsys, "witness", "--format", "json", "--grid", "2000")
         assert doc["contradiction"] is True
@@ -341,8 +357,8 @@ class TestUsageErrors:
              "--format must be one of table, json; got 'yaml'"),
             (("chsh", "--mode", "sideways", "--format", "yaml"),
              "--mode must be 'conditional' or 'partial', got 'sideways'"),
-            (("factorize", "--grid", "33", "--restarts", "1001"),
-             "--grid must be at most 32, got 33"),
+            (("lhv-fit", "--grid", "1025", "--restarts", "1001"),
+             "--grid must be at most 1024, got 1025"),
             (("sample", "--n", "0", "--seed", "-1", "--format", "yaml"),
              "--format must be one of csv, json, table; got 'yaml'"),
         ],
@@ -360,7 +376,7 @@ NEGATIVE_FIRST_ANGLE = [
     ("chsh", "-2.3,1,0.5,0.2", ("--format", "json")),
     ("bell", "-0.5,0.3,1.2", ("--format", "json")),
     ("nosignal", "-2.3,1,0.5,0.2", ("--format", "json")),
-    ("factorize", "-2.3,1,0.5,0.2", ("--grid", "3", "--restarts", "1", "--format", "json")),
+    ("factorize", "-2.3,1,0.5,0.2", ("--format", "json")),
     ("lhv-fit", "-2.3,1,0.5,0.2", ("--grid", "2", "--restarts", "0", "--format", "json")),
     ("sample", "-2.3,1,0.5,0.2", ("--n", "300")),
 ]
@@ -408,9 +424,6 @@ class TestExitCodeContract:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("factorize", "--grid", "200"),
-            ("factorize", "--grid", "33"),
-            ("factorize", "--restarts", "1001"),
             ("witness", "--grid", "1000001"),
             ("lhv-fit", "--grid", "1025"),
             ("lhv-fit", "--restarts", "1001"),
@@ -426,14 +439,13 @@ class TestExitCodeContract:
 
     def test_bound_applies_to_config_values(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("grid = 200\n")
-        code, _, err = run(capsys, "factorize", "--config", str(cfg))
+        cfg.write_text("grid = 2000\n")
+        code, _, err = run(capsys, "lhv-fit", "--config", str(cfg))
         assert code == 2
-        assert one_error_line(err) and "--grid must be at most 32" in err
+        assert one_error_line(err) and "--grid must be at most 1024" in err
 
     def test_bounds_documented_in_help(self, capsys):
         for argv, text in (
-            (("factorize", "--help"), "at most 32"),
             (("witness", "--help"), "at most 1000000"),
             (("lhv-fit", "--help"), "at most 1024"),
             (("sample", "--help"), "at most 10000000"),

@@ -51,6 +51,23 @@ def scan_min(params, k, target):
     return lhv._product_residual(trial, target).min()
 
 
+def correlators(table):
+    """E_ij = sum over the cells of xy p(x, y, i, j), times 4, from a (row, i, j) table."""
+    return 4.0 * (table[0] - table[1] - table[2] + table[3])
+
+
+def correlator_measure(e):
+    """Uniform-settings measure without bias: cells (1 + xy E_ij) / 16, E = (E00, E01, E10, E11)."""
+    cells = {
+        (x, y, i, j): (1.0 + x * y * e[2 * i + j]) / 16.0
+        for (i, j) in COLUMN_ORDER
+        for (x, y) in ROW_ORDER
+    }
+    return JointMeasure.from_probabilities(
+        TSIRELSON_ANGLES, SettingsDistribution.uniform(), cells
+    )
+
+
 def product_measure(u, v):
     """Uniform-settings measure whose columns are Bern(u_i) x Bern(v_j) products."""
     cells = {}
@@ -165,7 +182,7 @@ class TestFactorizabilityFit:
 
     def test_peak_memory_is_small(self):
         """The scan covers B's grid_points^2 values only, not all four parameters."""
-        measure = chsh_measure(TSIRELSON_ANGLES)
+        measure = product_measure((0.3, 0.6), (0.2, 0.9))
         tracemalloc.start()
         try:
             factorizability_fit(measure)
@@ -197,9 +214,6 @@ class TestFactorizabilityFit:
             for k in own:
                 assert best <= scan_min(params, k, target) + 1e-15
 
-    # Tables with every |E_ij| = 1 (angles apart by multiples of pi/2) take
-    # about 9 s each: there the alternating replies of the non-winning starts
-    # converge sublinearly, for some 60,000 rounds.
     @settings(max_examples=20, deadline=None)
     @given(angles=st.lists(st.floats(0.0, math.pi), min_size=4, max_size=4))
     def test_singlet_fit_is_the_flat_table(self, angles):
@@ -209,8 +223,41 @@ class TestFactorizabilityFit:
         fit = factorizability_fit(chsh_measure(tuple(DetectorAngle(a) for a in angles)))
         e = [-math.cos(2.0 * (angles[i] - angles[2 + j])) for i in (0, 1) for j in (0, 1)]
         assert abs(fit.residual - sum(x * x for x in e) / 64.0) <= 1e-15
-        for p in fit.params():
-            assert p == pytest.approx(0.5, abs=1e-6)
+        assert fit.params() == (0.5, 0.5, 0.5, 0.5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        measure=st.one_of(
+            st.builds(
+                correlator_measure,
+                st.lists(st.floats(-0.99, 0.99), min_size=4, max_size=4),
+            ),
+            st.builds(
+                lambda angles: chsh_measure(tuple(DetectorAngle(a) for a in angles)),
+                st.lists(st.floats(0.0, math.pi), min_size=4, max_size=4),
+            ).filter(lambda m: np.abs(correlators(m.table)).max() <= 0.99),
+        )
+    )
+    def test_reply_search_never_beats_the_closed_form(self, measure):
+        """On tables without bias the alternating replies, run past the
+        closed form, find no residual lower than the flat table's."""
+        fit = factorizability_fit(measure)
+        assert fit.params() == (0.5, 0.5, 0.5, 0.5)
+        searched = lhv._reply_search(measure.table, 21, 5)
+        assert searched.residual >= fit.residual - 1e-15
+
+    @pytest.mark.parametrize("b0", [0.0, math.pi / 2])
+    def test_unit_correlators_take_the_closed_form(self, monkeypatch, b0):
+        """Every |E_ij| = 1: the alternating replies would take seconds, so
+        the fit must not call them."""
+
+        def no_replies(*_args, **_kwargs):
+            raise AssertionError("the fit ran the reply search on a table without bias")
+
+        monkeypatch.setattr(lhv, "_best_response", no_replies)
+        fit = factorizability_fit(chsh_measure(tuple(map(DetectorAngle, (0.0, 0.0, b0, 0.0)))))
+        assert fit.params() == (0.5, 0.5, 0.5, 0.5)
+        assert fit.residual == 0.0625
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fit_is_a_best_reply_for_both_detectors(self, seed):
