@@ -12,7 +12,8 @@ Four related questions about the measured probability table:
   the required first-harmonic amplitude works out to sqrt 2 > 1.
 * `m_separability_search`: the finite hidden-variable model whose
   predictions stay within m of the table, minimizing m: in closed form on a
-  grid of at least its (at most 5) latent points, by compass search below.
+  grid of at least its (at most 5) latent points and on one point (the fair
+  coin), by compass search in between.
 
 The hidden-variable models here (`LHVModel`) are local: a latent value
 lambda is drawn from a finite distribution, then each detector answers
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 
@@ -202,9 +204,7 @@ def _best_response(target: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.clip((c * (diff + c)).sum(axis=(-3, -1)) / (2.0 * square), 0.0, 1.0)
 
 
-def factorizability_fit(
-    measure: JointMeasure, grid_points: int = 21, restarts: int = 5
-) -> ProductFit:
+def factorizability_fit(measure: JointMeasure) -> ProductFit:
     """Least-squares fit of a Bernoulli-product table to the measure.
 
     Requires uniform settings: the product form fixes every setting-pair
@@ -214,43 +214,36 @@ def factorizability_fit(
     residual sum E_ij^2 / 64.  With a = 2u - 1 and b = 2v - 1 the residual
     exceeds that by sum_ij [a_i^2 + b_j^2 - 2 a_i b_j E_ij + a_i^2 b_j^2] / 64,
     at least sum_ij [(|a_i| - |b_j|)^2 + a_i^2 b_j^2] / 64 >= 0 as |E_ij| <= 1.
-    Any other table goes to `_reply_search` with ``grid_points`` and
-    ``restarts``.
+    Any other table goes to `_reply_search`.
     """
-    grid_points, restarts = _integer("grid_points", grid_points), _integer("restarts", restarts)
     if not measure.settings.is_uniform():
         raise ValueError("factorizability fit requires uniform settings (each pair 1/4)")
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
     target = measure.table
     a_bias = target[0] + target[2] - target[1] - target[3]
     b_bias = target[0] + target[1] - target[2] - target[3]
     if max(np.abs(a_bias).max(), np.abs(b_bias).max()) <= _ATOL:
         flat = np.full(4, 0.5)
         return ProductFit(*flat.tolist(), residual=float(_product_residual(flat, target)))
-    return _reply_search(target, grid_points, restarts)
+    return _reply_search(target)
 
 
-def _reply_search(target: np.ndarray, grid_points: int, restarts: int) -> ProductFit:
+def _reply_search(target: np.ndarray) -> ProductFit:
     """Product fit of the (row, i, j) table ``target`` by alternating exact replies.
 
     With one detector's parameters fixed, the other's best reply is exact
-    (`_best_response`).  A coarse scan pairs each of ``grid_points``^2 values
-    of B's (v0, v1) with A's exact reply; the ``restarts`` best of these then
-    alternate both detectors' exact replies while the residual strictly
-    falls, and the lowest wins.  Each reply minimizes its block exactly, so
-    no start ends worse than it began.
+    (`_best_response`).  A coarse scan pairs each of 21^2 values of B's
+    (v0, v1), 0 to 1 in steps of 0.05, with A's exact reply; the 5 best of
+    these then alternate both detectors' exact replies while the residual
+    strictly falls, and the lowest wins.  Each reply minimizes its block
+    exactly, so no start ends worse than it began.
     """
     mirrored = target[[0, 2, 1, 3]].transpose(0, 2, 1)
 
-    axis = np.linspace(0.0, 1.0, grid_points)
+    axis = np.linspace(0.0, 1.0, 21)
     v = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     grid = np.concatenate((_best_response(target, v), v), axis=-1)
     coarse = _product_residual(grid, target)
-    k = min(restarts, len(coarse))
-    starts = np.argpartition(coarse, k - 1)[:k]
+    starts = np.argpartition(coarse, 4)[:5]
     params, values = grid[starts], coarse[starts]
 
     while True:
@@ -354,10 +347,16 @@ class LHVModel:
     q_response: np.ndarray
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.lambda_grid, dtype=float)
-        rho = np.asarray(self.rho, dtype=float)
-        p = np.asarray(self.p_response, dtype=float)
-        q = np.asarray(self.q_response, dtype=float)
+        # real numbers and booleans only, checked first: numpy alone parses "0.5" as 0.5
+        for field in fields(self):
+            arr = np.asarray(getattr(self, field.name))
+            if arr.dtype.kind not in "biuf":
+                for v in arr.flat:
+                    if not isinstance(v, numbers.Real):
+                        raise ValueError(
+                            f"model document fields must hold numbers: {field.name} holds {v!r}")
+            object.__setattr__(self, field.name, np.asarray(arr, dtype=float))
+        grid, rho, p, q = self.lambda_grid, self.rho, self.p_response, self.q_response
         n = grid.shape[0] if grid.ndim == 1 else -1
         if grid.ndim != 1 or n < 1:
             raise ValueError("lambda_grid must be a nonempty 1-d array")
@@ -372,10 +371,6 @@ class LHVModel:
         for name, arr in (("p_response", p), ("q_response", q)):
             if np.any(arr < 0.0) or np.any(arr > 1.0):
                 raise ValueError(f"{name} entries must lie in [0, 1]")
-        object.__setattr__(self, "lambda_grid", grid)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "p_response", p)
-        object.__setattr__(self, "q_response", q)
 
     @property
     def size(self) -> int:
@@ -400,11 +395,7 @@ class LHVModel:
         missing = [name for name in names if name not in doc]
         if missing:
             raise ValueError(f"model document is missing {', '.join(missing)}")
-        try:
-            arrays = {name: np.array(doc[name], dtype=float) for name in names}
-        except TypeError as exc:  # a mapping or another object where numbers belong
-            raise ValueError(f"model document fields must hold numbers: {exc}") from None
-        return cls(**arrays)
+        return cls(**{name: doc[name] for name in names})
 
     @classmethod
     def from_json(cls, text: str) -> "LHVModel":
@@ -645,12 +636,20 @@ def m_separability_search(
     * Exact path: when ``grid_size`` is at least the model's size, that
       model is returned, padded with points of weight 0.  ``restarts`` and
       ``seed`` are then ignored.
-    * Search path: below that size the problem is non-convex.  A
+    * One latent point: the fair coin (every response 1/2); no search runs
+      and ``restarts`` and ``seed`` are ignored.  With a, b the point's mean
+      answers (a_i = 2p_i - 1, b_j = 1 - 2q_j), a cell's deviation is
+      |x a_i + y b_j + xy (a_i b_j - E_ij)| / 4.  Its larger value over
+      (x, y) and (-x, -y) is at least (|a_i| + |b_j| + |a_i b_j - E_ij|) / 4
+      >= |E_ij| / 4, because |a| + |b| - |a||b| >= 0; the fair coin reaches
+      |E_ij| / 4 in every cell.
+    * Search path: between those sizes the problem is non-convex.  A
       coarse-to-fine cascade over latent grid sizes (``grid_size`` halved
-      with floor division down to 1, searched from 1 up: 3 gives 1, 3) runs
-      compass search at each level from the previous level's best embedded
-      with zero-weight padding, the model's heaviest points, its heaviest
-      deterministic strategies, structured starts and ``restarts`` seeded
+      with floor division down to 2, searched from the smallest up: 3 gives
+      3, 4 gives 2, 4) starts from the fair coin and runs compass search at
+      each level from the previous level's best embedded with zero-weight
+      padding, the model's heaviest points, its heaviest deterministic
+      strategies, two structured two-point starts and ``restarts`` seeded
       random starts, so no level gives a worse ``m_hat`` than the level
       below it.
 
@@ -670,20 +669,17 @@ def m_separability_search(
         best_theta = _place(grid_size, model_p, model_q, model_rho)
     else:
         strategy_weights = _strategy_weights(model_p, model_q, model_rho)
-        best_theta = None
-        for size in [grid_size >> k for k in range(int(grid_size).bit_length())][::-1]:
+        best_theta = np.full(5, 0.5)  # the fair coin: the best one-point model
+        for size in [grid_size >> k for k in range(grid_size.bit_length() - 1)][::-1]:
             fn = lambda t: _objective(t, size, target)  # noqa: E731
-            starts: list[np.ndarray] = []
-            if best_theta is not None:
-                starts.append(_place(size, *_unpack(best_theta, best_theta.shape[0] // 5)))
-            starts.append(_heaviest(size, model_p, model_q, model_rho))
-            starts.append(_heaviest(size, _STRATEGY_P, _STRATEGY_Q, strategy_weights))
-            starts.append(np.full(5 * size, 0.5))
-            if size >= 2:
-                starts.extend(_two_point_start(size, target, i) for i in (0, 1))
-            for k in range(restarts):
-                rng = np.random.default_rng(np.random.SeedSequence((seed, size, k)))
-                starts.append(rng.random(5 * size))
+            starts = [
+                _place(size, *_unpack(best_theta, best_theta.size // 5)),
+                _heaviest(size, model_p, model_q, model_rho),
+                _heaviest(size, _STRATEGY_P, _STRATEGY_Q, strategy_weights),
+                *(_two_point_start(size, target, i) for i in (0, 1)),
+                *(np.random.default_rng(np.random.SeedSequence((seed, size, k))).random(5 * size)
+                  for k in range(restarts)),
+            ]
 
             # the first start reaching the lowest value wins
             level_theta, _ = min((_pattern_search(t, fn) for t in starts), key=lambda r: r[1])

@@ -162,13 +162,6 @@ class TestFactorizabilityFit:
         with pytest.raises(ValueError, match="uniform"):
             factorizability_fit(m)
 
-    def test_parameter_validation(self):
-        m = chsh_measure(TSIRELSON_ANGLES)
-        with pytest.raises(ValueError):
-            factorizability_fit(m, grid_points=1)
-        with pytest.raises(ValueError):
-            factorizability_fit(m, restarts=0)
-
     def test_as_dict_fields(self):
         doc = factorizability_fit(chsh_measure(FLAT_ANGLES)).as_dict()
         assert set(doc) == {"p_plus_a0", "p_plus_a1", "p_plus_b0", "p_plus_b1", "residual"}
@@ -181,7 +174,7 @@ class TestFactorizabilityFit:
         assert factorizability_fit(measure).residual <= oracle + 1e-12
 
     def test_peak_memory_is_small(self):
-        """The scan covers B's grid_points^2 values only, not all four parameters."""
+        """The scan covers 21^2 values of B's parameters only, not all four parameters."""
         measure = product_measure((0.3, 0.6), (0.2, 0.9))
         tracemalloc.start()
         try:
@@ -243,7 +236,7 @@ class TestFactorizabilityFit:
         closed form, find no residual lower than the flat table's."""
         fit = factorizability_fit(measure)
         assert fit.params() == (0.5, 0.5, 0.5, 0.5)
-        searched = lhv._reply_search(measure.table, 21, 5)
+        searched = lhv._reply_search(measure.table)
         assert searched.residual >= fit.residual - 1e-15
 
     @pytest.mark.parametrize("b0", [0.0, math.pi / 2])
@@ -454,7 +447,7 @@ class TestLHVModel:
         with pytest.raises(ValueError, match=f"^{message}$"):
             LHVModel.from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("value", [{"p": 1.0}, [{"p": 1.0}]])
+    @pytest.mark.parametrize("value", [{"p": 1.0}, [{"p": 1.0}], ["1.0"]])
     def test_non_numeric_field_rejected(self, value):
         doc = {**self.one_point_doc("rho", 1.0), "rho": value}
         with pytest.raises(ValueError, match="^model document fields must hold numbers: "):
@@ -643,8 +636,6 @@ class TestExactPath:
         [
             pytest.param(TSIRELSON_ANGLES, dict(grid_size=2, restarts=2, seed=3),
                          0.1767766952966369, id="tsirelson-grid2"),
-            pytest.param(TSIRELSON_ANGLES, dict(grid_size=1, restarts=0, seed=0),
-                         0.1767766952966369, id="grid1"),
             # levels 1, 3: the ladder halves with floor division
             pytest.param(TSIRELSON_ANGLES, dict(grid_size=3, restarts=1, seed=5),
                          0.1767766952966369, id="grid3"),
@@ -673,6 +664,9 @@ class TestExactPath:
         [
             pytest.param(TSIRELSON_ANGLES, dict(grid_size=4, restarts=2, seed=3),
                          0.05177669529663689, id="tsirelson-grid4"),
+            # one latent point: the fair coin, in closed form
+            pytest.param(TSIRELSON_ANGLES, dict(grid_size=1, restarts=0, seed=0),
+                         0.1767766952966369, id="grid1"),
             pytest.param(SKEWED_ANGLES, dict(grid_size=4, restarts=0, seed=0),
                          0.0505466601329535, id="skewed-grid4"),
             pytest.param(DEGENERATE_ANGLES, dict(grid_size=8, restarts=0, seed=0),
@@ -680,11 +674,13 @@ class TestExactPath:
         ],
     )
     def test_exact_path_values_pinned(self, monkeypatch, angles, kwargs, m_hat):
-        """At or above the model's size the closed-form model is returned as is."""
+        """At or above the model's size the closed-form model is returned as is,
+        and on one latent point the fair coin."""
         forbid_search(monkeypatch)
         result = m_separability_search(angles, **kwargs)
         assert result.m_hat == m_hat
-        assert abs(result.gap) <= 1e-15
+        if kwargs["grid_size"] > 1:  # the fair coin is optimal on one point, not on every grid
+            assert abs(result.gap) <= 1e-15
 
     @pytest.mark.parametrize("grid", [1, 2, 3, 4, 8, 16, 64])
     @pytest.mark.parametrize(
@@ -740,6 +736,43 @@ class TestLocalOptimum:
         assert abs(m - lp_optimum(target)) <= 1e-12
 
 
+FAIR_COIN = np.full((2, 1), 0.5)
+
+
+class TestOnePoint:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        angles=st.lists(st.floats(0.0, math.pi), min_size=4, max_size=4),
+        responses=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    )
+    def test_no_point_beats_the_fair_coin(self, angles, responses):
+        """One latent point answering (p, q) deviates at least as far as the fair coin."""
+        target = target_of(tuple(DetectorAngle(a) for a in angles))
+        p = np.array(responses[:2])[:, None]
+        q = np.array(responses[2:])[:, None]
+        worst = np.max(np.abs(lhv._predicted_table(np.ones(1), p, q) - target))
+        coin = np.max(np.abs(lhv._predicted_table(np.ones(1), FAIR_COIN, FAIR_COIN) - target))
+        assert worst >= coin - 1e-15
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        angles=st.lists(st.floats(0.0, math.pi), min_size=4, max_size=4),
+        restarts=st.integers(0, 8),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_grid1_is_the_fair_coin_without_search(self, angles, restarts, seed):
+        searches = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lhv, "_pattern_search", lambda *args: searches.append(args))
+            angles = tuple(DetectorAngle(a) for a in angles)
+            result = m_separability_search(angles, grid_size=1, restarts=restarts, seed=seed)
+        assert searches == []
+        assert result.model.rho.tolist() == [1.0]
+        np.testing.assert_array_equal(result.model.p_response, FAIR_COIN)
+        np.testing.assert_array_equal(result.model.q_response, FAIR_COIN)
+        assert result.m_hat == float(np.max(np.abs(target_of(angles) - 0.25)))
+
+
 class TestSearchVector:
     @given(
         size=st.integers(1, 8),
@@ -767,9 +800,6 @@ class TestSearchVector:
         (fourier_witness_check, "grid_size", 100.5),
         (fourier_witness_check, "grid_size", 1e4),
         (fourier_witness_check, "grid_size", True),
-        (factorizability_fit, "grid_points", 2.5),
-        (factorizability_fit, "restarts", 2.5),
-        (factorizability_fit, "restarts", True),
         (m_separability_search, "grid_size", 2.5),
         (m_separability_search, "restarts", 2.5),
         (m_separability_search, "restarts", True),
@@ -784,7 +814,6 @@ def test_sizes_and_seeds_must_be_integers(monkeypatch, function, argument, value
     monkeypatch.setattr(lhv, "_local_optimum", no_optimum)
     positional = {
         fourier_witness_check: (),
-        factorizability_fit: (chsh_measure(TSIRELSON_ANGLES),),
         m_separability_search: (TSIRELSON_ANGLES,),
     }[function]
     with pytest.raises(ValueError, match=f"^{argument} must be an integer, got {value!r}$"):
