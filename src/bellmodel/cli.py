@@ -351,10 +351,10 @@ def _cmd_sample(opts: _Options) -> tuple[_Output, int]:
     n = opts.get_int("n", 10000, _MAX_N)
     seed = opts.get_int("seed", 0)
     measure = chsh_measure(angles, settings)
-    chunks = sample_chunks(measure, n, seed)
+    draw = sample_chunks(measure, n, seed)
     if fmt == "csv":
-        return trial_csv(chunks), 0
-    empirical = empirical_measure(chunks)
+        return trial_csv(draw), 0
+    empirical = empirical_measure(draw)
     partials = {
         label: empirical_partial_expectation(empirical, i, j)
         for label, (i, j) in zip(_COLUMN_LABELS, COLUMN_ORDER)

@@ -310,14 +310,24 @@ def fourier_witness_check(grid_size: int = 10000) -> FourierWitnessReport:
     grid_size = _integer("grid_size", grid_size)
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
-    lam = (np.arange(grid_size) + 0.5) / grid_size
-    c = math.sqrt(math.pi / 2.0) * np.exp(2j * math.pi * lam)
+    # Built in place, so the nodes, c and |c| are the only arrays held: a
+    # grid of any size needs 24 bytes per node.
+    lam = np.arange(grid_size, dtype=float)
+    lam += 0.5
+    lam /= grid_size
+    c = np.zeros(grid_size, dtype=complex)
+    np.multiply(lam, 2.0 * math.pi, out=c.imag)
+    np.exp(c, out=c)
+    c *= math.sqrt(math.pi / 2.0)
     w = 1.0 / grid_size
 
     first = abs(complex(np.sum(c) * w))
-    second = abs(complex(np.sum(c * c) * w))
-    power = float(np.sum(np.abs(c) ** 2) * w)
-    amplitude = float(np.max(2.0 * np.abs(c) / math.sqrt(math.pi)))
+    abs_c = np.abs(c, out=lam)
+    # Doubling and dividing by a positive number round monotonically, so
+    # they can follow the maximum.
+    amplitude = float(2.0 * np.max(abs_c) / math.sqrt(math.pi))
+    power = float(np.sum(np.square(abs_c, out=abs_c)) * w)
+    second = abs(complex(np.sum(np.square(c, out=c)) * w))
     return FourierWitnessReport(
         first_moment_abs=first,
         second_moment_abs=second,

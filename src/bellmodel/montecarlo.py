@@ -8,9 +8,11 @@ keeps its prefix: trial k never depends on how many trials follow it.
 
 A `TrialSeries` stores each trial only as its ``uint8`` cell index (position
 in `OUTCOME_ORDER`); its columns, counts and both layouts are lookups on it.
-`sample_chunks` yields the same cells one chunk at a time, and counts and
-the trial CSV can be taken from those chunks as they are drawn, so a run of
-any length needs memory for one chunk only.
+`sample_chunks` returns the same trials as a re-iterable draw: iterating it
+yields the cells one chunk at a time, from which the trial CSV is written as
+they are drawn, and `empirical_measure` counts it from each chunk's uniforms
+without forming cells.  Either way a run of any length needs memory for one
+chunk only.
 
 Serialized layouts (both byte-exact):
 
@@ -117,9 +119,9 @@ def _csv_rows(start: int, cells: np.ndarray) -> str:
 
 
 def trial_csv(chunks: Iterable[np.ndarray]) -> Iterator[str]:
-    """Trial CSV of consecutive chunks of cell indices 0-15 (as
-    `sample_chunks` yields them), piece by piece: the header, then the rows
-    of each chunk as it arrives."""
+    """Trial CSV of consecutive chunks of cell indices 0-15 (as a
+    `sample_chunks` draw yields them), piece by piece: the header, then the
+    rows of each chunk as it arrives."""
     yield "n,x,y,i,j\n"
     start = 0
     for cells in chunks:
@@ -241,9 +243,57 @@ def decode_binary(blob: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return _CELL_X[cells], _CELL_Y[cells], _CELL_I[cells], _CELL_J[cells]
 
 
-def sample_chunks(measure: JointMeasure, n: int, seed: int) -> Iterator[np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class _Draw:
+    """``n`` trials of a run keyed by ``seed``, drawn by comparing uniforms
+    with the nondecreasing cumulative ``thresholds``: a trial's cell is the
+    number of thresholds at or below its uniform."""
+
+    thresholds: np.ndarray
+    n: int
+    seed: int
+
+    def _generators(self) -> Iterator[tuple[int, np.random.Generator]]:
+        """Each chunk's size and its Philox generator."""
+        for start in range(0, self.n, CHUNK):
+            key = np.array([self.seed, start // CHUNK], dtype=np.uint64)
+            yield min(CHUNK, self.n - start), np.random.Generator(np.random.Philox(key=key))
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        for size, gen in self._generators():
+            u = gen.random(size)
+            # The thresholds are nondecreasing, so this count equals
+            # searchsorted(cdf, u, side="right") capped at the last possible
+            # cell, with the same float comparisons.
+            cells = np.zeros(size, dtype=np.uint8)
+            for threshold in self.thresholds:
+                cells += u >= threshold
+            del u  # not held while the consumer works on the cells
+            yield cells
+
+    def counts(self) -> np.ndarray:
+        """The 16 cell counts of the cells iteration yields, from the
+        uniforms alone: a trial is in cell k or later exactly when its
+        uniform is at or above threshold k - 1, so counting those per
+        threshold gives every cell's count as a difference."""
+        u = np.empty(min(CHUNK, self.n))  # one buffer for every chunk's uniforms
+        above = np.empty(u.size, dtype=bool)
+        at_least = np.zeros(17, dtype=np.int64)  # trials in cell k or later
+        at_least[0] = self.n
+        for size, gen in self._generators():
+            chunk, mask = u[:size], above[:size]
+            gen.random(out=chunk)
+            for k, threshold in enumerate(self.thresholds, 1):
+                np.greater_equal(chunk, threshold, out=mask)
+                at_least[k] += np.count_nonzero(mask)
+        return at_least[:-1] - at_least[1:]
+
+
+def sample_chunks(measure: JointMeasure, n: int, seed: int) -> _Draw:
     """Draw ``n`` independent trials from the joint measure, one `CHUNK` at
-    a time: yields each chunk's cells as a fresh ``uint8`` array.
+    a time.  Returns a re-iterable draw: each pass over it yields the same
+    chunks, each chunk's cells as a fresh ``uint8`` array, and
+    `empirical_measure` counts it straight from its uniforms.
 
     Chunk c uses its own Philox stream keyed by (seed, c).  A uniform u maps
     to the number of cumulative thresholds at or below u among the cells
@@ -258,24 +308,7 @@ def sample_chunks(measure: JointMeasure, n: int, seed: int) -> Iterator[np.ndarr
     # Rounding can leave the last cumulative sum below 1; a uniform at or
     # above it goes to the last cell that can occur, not to cell 15 when
     # that cell has probability 0.
-    thresholds = np.cumsum(probs)[: np.flatnonzero(probs)[-1]]
-
-    def chunks() -> Iterator[np.ndarray]:
-        for start in range(0, n, CHUNK):
-            gen = np.random.Generator(
-                np.random.Philox(key=np.array([seed, start // CHUNK], dtype=np.uint64))
-            )
-            u = gen.random(min(CHUNK, n - start))
-            # The thresholds are nondecreasing, so this count equals
-            # searchsorted(cdf, u, side="right") capped at the last possible
-            # cell, with the same float comparisons.
-            cells = np.zeros(u.size, dtype=np.uint8)
-            for threshold in thresholds:
-                cells += u >= threshold
-            del u  # not held while the consumer works on the cells
-            yield cells
-
-    return chunks()
+    return _Draw(np.cumsum(probs)[: np.flatnonzero(probs)[-1]], n, seed)
 
 
 def sample(measure: JointMeasure, n: int, seed: int) -> TrialSeries:
@@ -322,8 +355,11 @@ class EmpiricalMeasure:
 
 
 def empirical_measure(trials: TrialSeries | Iterable[np.ndarray]) -> EmpiricalMeasure:
-    """Cell counts of a series, or of chunks of cells such as `sample_chunks`
-    yields, added up one chunk at a time."""
+    """Cell counts of a series, of a draw `sample_chunks` returns (counted
+    from its uniforms, with no cell array), or of any chunks of cells,
+    added up one chunk at a time."""
+    if isinstance(trials, _Draw):
+        return EmpiricalMeasure(trials.counts())
     chunks = trials._chunks() if isinstance(trials, TrialSeries) else trials
     counts = np.zeros(16, dtype=np.int64)
     for cells in chunks:

@@ -289,6 +289,18 @@ class TestFourierWitness:
         with pytest.raises(ValueError):
             fourier_witness_check(grid_size=99)
 
+    def test_peak_memory_bounded(self):
+        """The nodes, c and |c| are built in place: 24 bytes per node, where
+        temporaries of every expression took 40."""
+        grid = 50000
+        tracemalloc.start()
+        try:
+            fourier_witness_check(grid_size=grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * grid
+
     def test_contradiction_requires_all_conditions(self):
         report = FourierWitnessReport(
             first_moment_abs=0.0,

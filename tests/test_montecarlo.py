@@ -45,14 +45,19 @@ U_MAX = np.nextafter(1.0, 0.0)
 
 
 def edge_uniforms(monkeypatch, values):
-    """Make every Philox chunk in `sample` return ``values`` (cycled) as its uniforms."""
+    """Make every Philox chunk of a draw return ``values`` (cycled) as its
+    uniforms, whether the draw asks for a new array or fills ``out``."""
 
     class EdgeGenerator:
         def __init__(self, _bit_generator):
             pass
 
-        def random(self, count):
-            return np.resize(np.asarray(values, dtype=float), count)
+        def random(self, size=None, out=None):
+            u = np.resize(np.asarray(values, dtype=float), size if out is None else out.size)
+            if out is None:
+                return u
+            out[...] = u
+            return out
 
     monkeypatch.setattr(np.random, "Generator", EdgeGenerator)
 
@@ -190,7 +195,8 @@ class TestSampling:
     @example(weights=SHORT_CDF_CELLS)
     def test_threshold_count_matches_searchsorted(self, weights):
         """At every cumulative threshold and its float neighbours, the sampler
-        picks the cell the capped binary search over the cumulative table picks."""
+        picks the cell the capped binary search over the cumulative table
+        picks, and a draw's counts taken from those uniforms count those cells."""
         m = measure_from_weights(weights)
         cdf = np.cumsum(m.probs)
         u = np.concatenate(
@@ -199,7 +205,10 @@ class TestSampling:
         with pytest.MonkeyPatch.context() as patch:
             edge_uniforms(patch, u)
             series = sample(m, u.size, seed=0)
-        np.testing.assert_array_equal(series.cells, searchsorted_cells(m.probs, u))
+            counts = empirical_measure(sample_chunks(m, u.size, seed=0)).counts
+        expected = searchsorted_cells(m.probs, u)
+        np.testing.assert_array_equal(series.cells, expected)
+        np.testing.assert_array_equal(counts, np.bincount(expected, minlength=16))
 
     @pytest.mark.parametrize(
         "m",
@@ -503,6 +512,35 @@ class TestStreaming:
     def test_stream_matches_series_property(self, name, n, seed):
         check_stream(STREAM_MEASURES[name], n, seed)
 
+    def test_draw_iterates_again(self):
+        """A draw is re-iterable: each pass yields the same fresh chunks."""
+        draw = sample_chunks(chsh_measure(TSIRELSON_ANGLES), 2 * CHUNK + 3, seed=8)
+        first, second = list(draw), list(draw)
+        assert len(first) == len(second) == 3
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+            assert not np.shares_memory(a, b)
+        np.testing.assert_array_equal(next(iter(draw)), first[0])
+        np.testing.assert_array_equal(empirical_measure(draw).counts, empirical_measure(draw).counts)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        weights=st.one_of(
+            st.just(SHORT_CDF_CELLS),
+            st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=16, max_size=16)
+            .filter(any),
+        ),
+        n=st.one_of(st.integers(1, 3 * CHUNK), st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1])),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_draw_counts_match_bincount_of_cells(self, weights, n, seed):
+        """Counting a draw from its uniforms gives the bincount of the cells
+        its iteration yields, zero-probability cells included."""
+        draw = sample_chunks(measure_from_weights(weights), n, seed)
+        cells = np.concatenate(list(draw))
+        expected = np.bincount(cells, minlength=16)
+        np.testing.assert_array_equal(empirical_measure(draw).counts, expected)
+
     def test_chunks_are_fresh_arrays(self):
         chunks = list(sample_chunks(chsh_measure(TSIRELSON_ANGLES), 3 * CHUNK, seed=4))
         assert all(c.flags.writeable and c.base is None for c in chunks)
@@ -550,11 +588,10 @@ class TestStreaming:
         assert empirical_measure(chunks).counts.tolist() == [1, 1, 0, 1] + [0] * 12
 
     def test_stream_peak_memory_bounded(self):
-        """Drawing and counting a long run holds one chunk at a time: its
-        uniforms while the cells are drawn, then the cells and the wider
-        copy of them that bincount makes, never the uniforms and that copy
-        together: about 11 bytes per trial of a chunk and nothing per trial
-        of the run."""
+        """Counting a long draw holds one chunk's uniforms (8 bytes per
+        trial) and one comparison mask (1 byte per trial), allocated once
+        and refilled for every chunk: no cell array, no wider copy of one,
+        and nothing per trial of the run."""
         m = chsh_measure(TSIRELSON_ANGLES)
         tracemalloc.start()
         try:
@@ -563,7 +600,7 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert emp.n == 64 * CHUNK
-        assert peak < 12 * CHUNK
+        assert peak < 10 * CHUNK
 
 
 class TestSerialization:

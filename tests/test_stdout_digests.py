@@ -15,6 +15,7 @@ from bellmodel.cli import main
 
 JITTERED = "--angles=0.01,1.6,0.8,-0.75"
 SKEWED = ("--settings", "0.1,0.2,0.3,0.4")
+ZERO_PAIR = ("--settings", "0.5,0.25,0,0.25")
 #: (a0, shared, b1) and settings of a `bell` run other than the built-in example
 BELL_OFF_DEFAULT = ("--angles", "0.1,0.9,2.5", "--settings", "0.2,0.5,0,0.3")
 
@@ -105,6 +106,17 @@ PINNED = [
      "646a332274f191bb28a745b0b53804b195926ccba69d711b34b7c99001ce0267"),
     (("sample", JITTERED, *SKEWED, "--n", "200000", "--seed", "99", "--format", "json"),
      "3e1fb3d4751b4694b4793bd3d80cdc92c899549e1d36446eb41c0a791b1a6d96"),
+    # 196613 = 3 * CHUNK + 5 trials with the (a1, b0) pair at probability 0,
+    # so four cells are never drawn; at angles 0,0,0,0 the other pairs'
+    # equal-outcome cells are 0 too.
+    (("sample", *ZERO_PAIR, "--n", "196613", "--format", "json"),
+     "bf1164589b0268580f44cfc5d103a2271ef4b269842dcbc988cbe86afeed62e0"),
+    (("sample", *ZERO_PAIR, "--n", "196613", "--format", "table"),
+     "edfe8b45d88c416431cd3014de8724cd1660a182476582e199d81db7d23f83db"),
+    (("sample", "--angles", "0,0,0,0", *ZERO_PAIR, "--n", "196613", "--format", "json"),
+     "da2694b0ed6d93ecc0fa93dc5a7061a203225eadf868988577c12a236fe41e61"),
+    (("sample", "--angles", "0,0,0,0", *ZERO_PAIR, "--n", "196613", "--format", "table"),
+     "b0ed153ac613322304c4f61cf6744ccab25cad23504c51d1e90630e48645352a"),
 ]
 
 
