@@ -19,6 +19,8 @@ def run() -> None:
     always has.  `main` does none of this: it also runs inside other
     programs, whose objects it must not pin and whose exit is not its own.
     """
+    if sys.stderr is None:  # started with fd 2 closed: argparse would write to stdout
+        sys.stderr = open(os.devnull, "w")
     gc.freeze()
     code = main()
     try:

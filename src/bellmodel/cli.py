@@ -18,6 +18,7 @@ characters; a longer one is an error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -453,5 +454,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code
     except Exception as exc:  # exit 1 is reserved for a violation under --strict
         detail = exc if isinstance(exc, (ValueError, OSError)) else repr(exc)
-        print(f"error: {detail}", file=sys.stderr)
+        with contextlib.suppress(OSError):  # a closed stderr changes neither code nor stdout
+            print(f"error: {detail}", file=sys.stderr)
         return 2

@@ -482,81 +482,71 @@ class SeparabilityResult:
         }
 
 
-def _pack(p: np.ndarray, q: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """Search vector theta = (p, q, raw weights) on ``raw.size`` latent points."""
-    return np.concatenate((p.ravel(), q.ravel(), raw))
-
-
-def _unpack(theta: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of `_pack`, with the weights normalized (uniform if they sum to 0)."""
-    p = theta[0 : 2 * size].reshape(2, size)
-    q = theta[2 * size : 4 * size].reshape(2, size)
-    raw = theta[4 * size :]
+def _weights(raw: np.ndarray) -> np.ndarray:
+    """The latent weights ``raw`` normalized, uniform if they sum to 0."""
     total = float(raw.sum())
-    rho = raw / total if total > 0.0 else np.full(size, 1.0 / size)
-    return p, q, rho
+    return raw / total if total > 0.0 else np.full(raw.size, 1.0 / raw.size)
 
 
-def _objective(theta: np.ndarray, size: int, target: np.ndarray) -> float:
-    p, q, rho = _unpack(theta, size)
-    return float(np.max(np.abs(_predicted_table(rho, p, q) - target)))
+def _objective(theta: np.ndarray, target: np.ndarray) -> float:
+    pred = _predicted_table(_weights(theta[4]), theta[:2], theta[2:4])
+    return float(np.max(np.abs(pred - target)))
 
 
-def _pattern_search(theta: np.ndarray, fn) -> tuple[np.ndarray, float]:
-    """Compass search with coordinate moves clamped to [0, 1].
+def _pattern_search(theta: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
+    """Compass search of `_objective` with coordinate moves clamped to [0, 1].
 
-    A sweep tries +-step on every coordinate, keeping strict improvements;
-    the step starts at 0.1 and halves after a sweep with no improvement,
-    until it drops below 1e-6 or 2000 sweeps have run.  The objective never
-    increases, so a start that is already optimal is returned unchanged.
+    A sweep tries +-step on every entry of ``theta`` in C order, keeping
+    strict improvements; the step starts at 0.1 and halves after a sweep
+    with no improvement, until it drops below 1e-6 or 2000 sweeps have run.
+    The objective never increases, so a start that is already optimal is
+    returned unchanged.
     """
     theta = theta.copy()
-    value = fn(theta)
+    flat = theta.reshape(-1)  # a view: moving an entry moves theta
+    value = _objective(theta, target)
     step = 0.1
     sweeps = 0
     while step >= 1e-6 and sweeps < 2000:
         sweeps += 1
         improved = False
-        for k in range(len(theta)):
-            old = theta[k]
+        for k in range(flat.size):
+            old = flat[k]
             for delta in (step, -step):
                 cand = min(1.0, max(0.0, old + delta))
                 if cand == old:
                     continue
-                theta[k] = cand
-                candidate_value = fn(theta)
+                flat[k] = cand
+                candidate_value = _objective(theta, target)
                 if candidate_value < value:
                     value = candidate_value
                     improved = True
                     break
-                theta[k] = old
+                flat[k] = old
         if not improved:
             step *= 0.5
     return theta, value
 
 
-#: Responses of the 16 deterministic strategies, shape (2, 16): column k
+#: Responses of the 16 deterministic strategies, shape (4, 16): column k
 #: holds strategy k's P[X = +1 | a_i] and P[Y = -1 | b_j], each 0 or 1.
 # Built in Python: a numpy integer cast here adds ~0.25 MB RSS to every command.
-_STRATEGY_P = np.array([[float(a == 1) for a in x] for x in STRATEGY_ANSWERS.T[:2].tolist()])
-_STRATEGY_Q = np.array([[float(a == -1) for a in y] for y in STRATEGY_ANSWERS.T[2:].tolist()])
-_STRATEGY_P.flags.writeable = False
-_STRATEGY_Q.flags.writeable = False
+_STRATEGIES = np.array([[float(a == answer) for a in row] for row, answer
+                        in zip(STRATEGY_ANSWERS.T.tolist(), (1, 1, -1, -1))])
+_STRATEGIES.flags.writeable = False
 
 
-def _place(size: int, p: np.ndarray, q: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Search vector with ``weights.size`` latent points first, padded to ``size``.
+def _place(size: int, model: np.ndarray) -> np.ndarray:
+    """Search array of shape (5, ``size``): the points of ``model`` first, then padding.
 
-    ``p`` and ``q`` hold the responses of those points, shape (2, k).  The
+    A latent model is a (5, k) array whose rows are p0, p1 (P[X = +1 | a_i]),
+    q0, q1 (P[Y = -1 | b_j]) and the weights, one column per point.  The
     padding points answer 0.5 and carry weight 0, so the padded model
     predicts exactly the same table.
     """
-    extra = size - weights.size
-    return _pack(
-        np.pad(p, ((0, 0), (0, extra)), constant_values=0.5),
-        np.pad(q, ((0, 0), (0, extra)), constant_values=0.5),
-        np.pad(weights, (0, extra)),
-    )
+    placed = np.pad(model, ((0, 0), (0, size - model.shape[1])), constant_values=0.5)
+    placed[4, model.shape[1]:] = 0.0
+    return placed
 
 
 def _two_point_start(size: int, target: np.ndarray, i: int) -> np.ndarray:
@@ -566,9 +556,9 @@ def _two_point_start(size: int, target: np.ndarray, i: int) -> np.ndarray:
     the mirror image.  Choosing c_j = P[x=+1, y=-1 | a_i, b_j] * 2 matches
     every cell of columns (i, 0) and (i, 1).
     """
-    c = np.array([min(1.0, max(0.0, 2.0 * target[2, i, j])) for j in (0, 1)])
-    p = np.array([[1.0, 0.0], [1.0, 0.0]])
-    return _place(size, p, np.stack((c, 1.0 - c), axis=1), np.full(2, 0.5))
+    c0, c1 = (min(1.0, max(0.0, 2.0 * target[2, i, j])) for j in (0, 1))
+    return _place(size, np.array([[1.0, 0.0], [1.0, 0.0], [c0, 1.0 - c0], [c1, 1.0 - c1],
+                                  [0.5, 0.5]]))
 
 
 #: The 8 CHSH sign patterns over E[i, j]: an odd number of -1.
@@ -578,8 +568,8 @@ _H2 = np.array([[1.0, 1.0], [1.0, -1.0]])
 _CHSH_SIGNS.flags.writeable = _H2.flags.writeable = False
 
 
-def _local_optimum(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Best local model of a singlet table in closed form: (p, q, rho, m).
+def _local_optimum(target: np.ndarray) -> tuple[np.ndarray, float]:
+    """Best local model of a singlet table in closed form: (model, m).
 
     Every marginal of the target is 1/2, so each cell is (1 + xy E_ij) / 4.
     By Fine's theorem the local correlators are the convex hull of the
@@ -593,6 +583,7 @@ def _local_optimum(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     mirror image (every answer flipped) carry w_b / 2 each, so every
     marginal stays 1/2.  A point answering 1/2 everywhere takes the weight
     left over.  That is at most 5 points (4 when S > 2), m from the target.
+    The model is a (5, k) array of rows p0, p1, q0, q1 and weights, as in `_place`.
     """
     e = target[0] - target[1] - target[2] + target[3]
     chsh = (_CHSH_SIGNS * e).sum(axis=(1, 2))
@@ -603,29 +594,27 @@ def _local_optimum(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     pairs = np.flatnonzero(weight > 0.0)
     mean = (_H2 @ c)[:, pairs] / weight[pairs]
     q = (1.0 - _H2[:, pairs]) / 2.0
-    p = np.concatenate((1.0 + mean, 1.0 - mean), axis=1) / 2.0
-    q = np.concatenate((q, 1.0 - q), axis=1)
-    rho = np.tile(weight[pairs] / 2.0, 2)
+    model = np.concatenate((np.concatenate((1.0 + mean, 1.0 - mean), axis=1) / 2.0,
+                            np.concatenate((q, 1.0 - q), axis=1),
+                            np.tile(weight[pairs] / 2.0, 2)[None]))
     rest = 1.0 - float(weight.sum())
     if rest > 1e-15:
-        p = np.pad(p, ((0, 0), (0, 1)), constant_values=0.5)
-        q = np.pad(q, ((0, 0), (0, 1)), constant_values=0.5)
-        rho = np.append(rho, rest)
-    return p, q, rho, m
+        model = np.pad(model, ((0, 0), (0, 1)), constant_values=0.5)
+        model[4, -1] = rest
+    return model, m
 
 
-def _strategy_weights(p: np.ndarray, q: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _strategy_weights(model: np.ndarray) -> np.ndarray:
     """Weight sum over lambda of rho * P(answers of strategy k | lambda), shape (16,)."""
-    x = np.where(_STRATEGY_P[:, :, None] == 1.0, p[:, None], 1.0 - p[:, None])  # (2, 16, size)
-    y = np.where(_STRATEGY_Q[:, :, None] == 1.0, q[:, None], 1.0 - q[:, None])
-    return (x.prod(axis=0) * y.prod(axis=0)) @ rho
+    answers = np.where(_STRATEGIES[:, :, None] == 1.0, model[:4, None], 1.0 - model[:4, None])
+    return (answers[:2].prod(axis=0) * answers[2:].prod(axis=0)) @ model[4]
 
 
-def _heaviest(size: int, p: np.ndarray, q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Search start from the ``size`` heaviest of the latent points (p, q, w), renormalized."""
-    keep = np.argsort(w)[::-1][:size]
-    kept = w[keep]
-    return _place(size, p[:, keep], q[:, keep], kept / float(kept.sum()))
+def _heaviest(size: int, model: np.ndarray) -> np.ndarray:
+    """Search start from the ``size`` heaviest points of ``model``, renormalized."""
+    kept = model[:, np.argsort(model[4])[::-1][:size]]
+    kept[4] /= float(kept[4].sum())
+    return _place(size, kept)
 
 
 def m_separability_search(
@@ -674,35 +663,33 @@ def m_separability_search(
     if restarts < 0:
         raise ValueError("restarts must be nonnegative")
     target = chsh_measure(angles).table * 4.0
-    model_p, model_q, model_rho, lower_bound = _local_optimum(target)
-    if grid_size >= model_rho.size:
-        best_theta = _place(grid_size, model_p, model_q, model_rho)
+    optimum, lower_bound = _local_optimum(target)
+    if grid_size >= optimum.shape[1]:
+        best = _place(grid_size, optimum)
     else:
-        strategy_weights = _strategy_weights(model_p, model_q, model_rho)
-        best_theta = np.full(5, 0.5)  # the fair coin: the best one-point model
+        strategies = np.vstack((_STRATEGIES, _strategy_weights(optimum)))
+        best = np.full((5, 1), 0.5)  # the fair coin: the best one-point model
         for size in [grid_size >> k for k in range(grid_size.bit_length() - 1)][::-1]:
-            fn = lambda t: _objective(t, size, target)  # noqa: E731
+            # each level starts from the previous best normalized once more (the
+            # coin's weight becomes 1); the pinned results depend on that rounding
+            best[4] = _weights(best[4])
             starts = [
-                _place(size, *_unpack(best_theta, best_theta.size // 5)),
-                _heaviest(size, model_p, model_q, model_rho),
-                _heaviest(size, _STRATEGY_P, _STRATEGY_Q, strategy_weights),
+                _place(size, best),
+                _heaviest(size, optimum),
+                _heaviest(size, strategies),
                 *(_two_point_start(size, target, i) for i in (0, 1)),
-                *(np.random.default_rng(np.random.SeedSequence((seed, size, k))).random(5 * size)
+                *(np.random.default_rng(np.random.SeedSequence((seed, size, k))).random((5, size))
                   for k in range(restarts)),
             ]
 
             # the first start reaching the lowest value wins
-            level_theta, _ = min((_pattern_search(t, fn) for t in starts), key=lambda r: r[1])
-            # normalize the weight block so zero-padding at the next level is exact
-            best_theta = _pack(*_unpack(level_theta, size))
+            best, _ = min((_pattern_search(t, target) for t in starts), key=lambda r: r[1])
+            # normalize the weight row so zero-padding at the next level is exact
+            best[4] = _weights(best[4])
 
-    p, q, rho = _unpack(best_theta, grid_size)
-    model = LHVModel(
-        lambda_grid=(np.arange(grid_size) + 0.5) / grid_size,
-        rho=rho,
-        p_response=p,
-        q_response=q,
-    )
+    p, q, rho = best[:2], best[2:4], _weights(best[4])
+    model = LHVModel(lambda_grid=(np.arange(grid_size) + 0.5) / grid_size, rho=rho,
+                     p_response=p, q_response=q)
     pred = _predicted_table(rho, p, q)
     deviations = {
         (x, y, i, j): float(abs(pred[row, i, j] - target[row, i, j]))

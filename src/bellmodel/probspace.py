@@ -248,7 +248,10 @@ def dice_space() -> FiniteProbabilitySpace:
 
 @dataclass(frozen=True)
 class SettingsDistribution:
-    """Distribution over the four setting pairs; p_ij = P[A uses a_i, B uses b_j]."""
+    """Distribution over the four setting pairs; p_ij = P[A uses a_i, B uses b_j].
+
+    Each p_ij is stored as a float, and -0.0 as 0.0: equal settings have one digest.
+    """
 
     p00: float
     p01: float
@@ -257,7 +260,7 @@ class SettingsDistribution:
 
     def __post_init__(self) -> None:
         for name, p in self.items():
-            value = _real(f"setting probability {name}", p)
+            value = _real(f"setting probability {name}", p) + 0.0  # -0.0 is stored as 0.0
             if not (value >= 0.0):
                 raise ValueError(f"setting probability {name} must be nonnegative, got {p!r}")
             object.__setattr__(self, name, value)
@@ -380,7 +383,7 @@ class JointMeasure:
             raise ValueError(f"expected 16 cell weights, got shape {shape}")
         # the weight checks, on the weights as given: numpy would parse "0.0625"
         FiniteProbabilitySpace(OUTCOME_ORDER, tuple(self.probs))
-        probs = np.array(self.probs, dtype=np.float64)  # a copy: the caller's array may change
+        probs = np.asarray(self.probs, dtype=np.float64) + 0.0  # a copy; -0.0 becomes 0.0
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "angles", _detector_angles(self.angles))

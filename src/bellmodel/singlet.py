@@ -50,7 +50,7 @@ _ATOL = 1e-12
 
 def _canonical_radians(value: float) -> float:
     """Reduce an orientation to [0, pi); a and a + k*pi are the same detector."""
-    v = math.fmod(float(value), math.pi)
+    v = math.fmod(float(value), math.pi) + 0.0  # + 0.0: -0.0 is stored as 0.0
     if v < 0.0:
         v += math.pi
     if v >= math.pi:  # fmod is exact, but pi plus a tiny negative remainder rounds to pi
@@ -60,7 +60,7 @@ def _canonical_radians(value: float) -> float:
 
 @dataclass(frozen=True)
 class DetectorAngle:
-    """Detector orientation in radians, canonicalized to [0, pi)."""
+    """Detector orientation in radians, canonicalized to [0, pi); -0 and -k*pi become +0."""
 
     radians: float
 

@@ -381,6 +381,13 @@ NEGATIVE_FIRST_ANGLE = [
     ("sample", "-2.3,1,0.5,0.2", ("--n", "300")),
 ]
 
+#: (a -0 spelling, the 0 spelling) of the same angles or settings
+NEGATIVE_ZERO = [
+    (("--angles=-0,1,2,3",), ("--angles=0,1,2,3",)),
+    (("--degrees", "--angles=-180,45,-360,90"), ("--degrees", "--angles=0,45,0,90")),
+    (("--settings", "-0,0.5,0.25,0.25"), ("--settings", "0,0.5,0.25,0.25")),
+]
+
 
 class TestNegativeAngles:
     """``--angles -2.3,...`` reads like ``--angles=-2.3,...``."""
@@ -394,6 +401,14 @@ class TestNegativeAngles:
         spaced = run(capsys, command, "--angles", angles, *rest, *degrees)
         assert joined[0] == 0, joined[2]
         assert spaced == joined
+
+    @pytest.mark.parametrize("command", [["measure"], ["sample", "--n", "5"]], ids=" ".join)
+    @pytest.mark.parametrize("negative, zero", NEGATIVE_ZERO, ids=["rad", "deg", "settings"])
+    def test_negative_zero_reads_as_zero(self, capsys, command, negative, zero):
+        """-0 and -k*pi angles and -0 settings are stored as 0: same document, same digest."""
+        spelled = run(capsys, *command, *negative, "--format", "json")
+        assert spelled[0] == 0, spelled[2]
+        assert spelled == run(capsys, *command, *zero, "--format", "json")
 
     def test_angles_are_used(self, capsys):
         doc = run_json(capsys, "chsh", "--angles", "-45,0,30,60", "--degrees", "--format", "json")

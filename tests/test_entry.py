@@ -2,6 +2,7 @@
 a process started through it writes what `main` writes, and it ends with
 `os._exit` once its output is flushed."""
 
+import errno
 import gc
 import io
 import os
@@ -128,6 +129,41 @@ def test_closed_fd1_is_one_error_line(argv):
     proc = subprocess.run([sys.executable, "-m", "bellmodel", *argv],
                           preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE)
     assert (proc.returncode, proc.stderr.decode()) == (2, "error: stdout is closed\n")
+
+
+#: (argv, exit code) with fd 2 closed
+CLOSED_STDERR = [
+    (["chsh", "--angles", "1"], 2),
+    (["sample", "--n", "0"], 2),
+    (["chsh", "--bogus"], 2),  # argparse's usage error
+    (["chsh", "--strict"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, expected", CLOSED_STDERR,
+                         ids=[" ".join(a) for a, _ in CLOSED_STDERR])
+def test_closed_fd2_keeps_the_code_and_stdout(capsys, argv, expected):
+    """Started with fd 2 closed, Python has no sys.stderr: a failing request
+    still exits 2 and writes nothing to stdout, and --strict keeps its exit 1
+    and its document."""
+    proc = subprocess.run([sys.executable, "-m", "bellmodel", *argv],
+                          preexec_fn=lambda: os.close(2), stdout=subprocess.PIPE)
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert (proc.returncode, proc.stdout.decode()) == (code, out)
+    assert code == expected and (out == "") == (code == 2)
+
+
+def test_unwritable_stderr_still_exits_2(monkeypatch, capsys):
+    """A sys.stderr over a closed descriptor: the error line is lost, the exit code is not."""
+
+    class ClosedStderr(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.EBADF, "Bad file descriptor")
+
+    monkeypatch.setattr(sys, "stderr", ClosedStderr())
+    assert main(["chsh", "--angles", "1"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_installed_command_runs_the_entry():

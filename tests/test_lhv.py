@@ -1,5 +1,6 @@
 """No-signaling, product fits, the Fourier witness, and the separability search."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -606,15 +607,17 @@ class TestStrategyTables:
                     for j in (0, 1):
                         if x[i] == xo and y[j] == yo:
                             reference[k, row, i, j] = 1.0
-        tables = lhv._predicted_table(np.eye(16)[:, None, :], lhv._STRATEGY_P, lhv._STRATEGY_Q)
+        strategies = lhv._STRATEGIES
+        tables = lhv._predicted_table(np.eye(16)[:, None, :], strategies[:2], strategies[2:])
         np.testing.assert_array_equal(tables, reference)
 
     def test_mixture_start_packs_strategies(self):
         weights = np.zeros(16)
         weights[[5, 10, 3]] = [0.5, 0.3, 0.2]
         size = 4
-        start = lhv._heaviest(size, lhv._STRATEGY_P, lhv._STRATEGY_Q, weights)
-        p, q, rho = lhv._unpack(start, size)
+        start = lhv._heaviest(size, np.vstack((lhv._STRATEGIES, weights)))
+        assert start.shape == (5, size)
+        p, q, rho = start[:2], start[2:4], start[4]
         np.testing.assert_array_equal(rho, [0.5, 0.3, 0.2, 0.0])
         for slot, k in enumerate((5, 10, 3)):
             for b in (0, 1):
@@ -626,6 +629,8 @@ SKEWED_ANGLES = tuple(DetectorAngle(a) for a in (0.03, 0.80, 1.93, 2.71))
 SKEWED3_ANGLES = tuple(DetectorAngle(a) for a in (0.4, 2.9, 1.1, 0.25))
 #: a local target (largest CHSH value 1.929; A's two orientations 1e-6 apart), 5-point model
 DEGENERATE_ANGLES = tuple(DetectorAngle(a) for a in (1e-6, 0.0, 1.4375, 0.21875))
+#: a local target (largest CHSH value below 2), 5-point model
+LOCAL_ANGLES = tuple(DetectorAngle(a) for a in (2.2, 0.4, 1.7, 2.9))
 
 
 class TestExactPath:
@@ -670,6 +675,19 @@ class TestExactPath:
         monkeypatch.setattr(lhv, "_pattern_search", counting)
         assert m_separability_search(angles, **kwargs).m_hat == m_hat
         assert searches
+
+    def test_search_path_output_pinned(self):
+        """Every field of a searched result (model, deviations and bound) stays
+        bit for bit: one SHA-256 over each result's JSON at the grids below the
+        model's size."""
+        digest = hashlib.sha256()
+        for angles in (TSIRELSON_ANGLES, SKEWED3_ANGLES, DEGENERATE_ANGLES, LOCAL_ANGLES):
+            for grid in (2, 3, 4):
+                for restarts, seed in ((0, 0), (2, 3)):
+                    result = m_separability_search(angles, grid, restarts, seed)
+                    digest.update(json.dumps(result.as_dict()).encode())
+        assert digest.hexdigest() == (
+            "bd737dc239bbb6701ccaaaa243bff82f92b6623b1d614f7dfee78a92b2a19a9c")
 
     @pytest.mark.parametrize(
         "angles, kwargs, m_hat",
@@ -739,7 +757,8 @@ class TestLocalOptimum:
         """A valid model on at most 5 points (4 when a CHSH value exceeds 2),
         whose worst deviation is m, and m is the LP's optimum."""
         target = target_of(tuple(DetectorAngle(a) for a in angles))
-        p, q, rho, m = lhv._local_optimum(target)
+        optimum, m = lhv._local_optimum(target)
+        p, q, rho = optimum[:2], optimum[2:4], optimum[4]
         model = LHVModel(lambda_grid=np.arange(rho.size, dtype=float), rho=rho,
                          p_response=p, q_response=q)
         assert model.size <= (4 if m > 0.0 else 5)
@@ -786,24 +805,15 @@ class TestOnePoint:
 
 
 class TestSearchVector:
-    @given(
-        size=st.integers(1, 8),
-        data=st.data(),
-    )
-    def test_unpack_inverts_pack(self, size, data):
-        unit = st.floats(0.0, 1.0)
-        p = np.array(data.draw(st.lists(unit, min_size=2 * size, max_size=2 * size))).reshape(2, size)
-        q = np.array(data.draw(st.lists(unit, min_size=2 * size, max_size=2 * size))).reshape(2, size)
-        raw = np.array(data.draw(st.lists(unit, min_size=size, max_size=size)))
-        theta = lhv._pack(p, q, raw)
-        assert theta.shape == (5 * size,)
-        p2, q2, rho = lhv._unpack(theta, size)
-        np.testing.assert_array_equal(p2, p)
-        np.testing.assert_array_equal(q2, q)
+    @given(raw=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_weights_are_normalized(self, raw):
+        raw = np.array(raw)
+        rho = lhv._weights(raw)
+        assert rho.shape == raw.shape
         if raw.sum() > 0.0:
             np.testing.assert_array_equal(rho, raw / raw.sum())
         else:
-            np.testing.assert_array_equal(rho, np.full(size, 1.0 / size))
+            np.testing.assert_array_equal(rho, np.full(raw.size, 1.0 / raw.size))
 
 
 @pytest.mark.parametrize(

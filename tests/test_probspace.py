@@ -292,6 +292,12 @@ class TestSettingsDistribution:
         text = chsh_measure(TSIRELSON_ANGLES, s).to_json()
         assert '"settings": {"p00": 1.0, "p01": 0.0, "p10": 0.0, "p11": 0.0}' in text
 
+    def test_negative_zero_stored_as_zero(self):
+        s = SettingsDistribution(-0.0, 0.5, 0.25, 0.25)
+        assert math.copysign(1.0, s.p00) == 1.0
+        zero = chsh_measure(TSIRELSON_ANGLES, SettingsDistribution(0.0, 0.5, 0.25, 0.25))
+        assert chsh_measure(TSIRELSON_ANGLES, s).digest() == zero.digest()
+
     @pytest.mark.parametrize("value", ["0.25", None, complex(0.25, 0.0)])
     def test_rejects_non_real(self, value):
         with pytest.raises(ValueError, match=r"^setting probability p01 must be a real number"):
@@ -497,6 +503,11 @@ class TestBellConfigurationMeasure:
 
 
 class TestMeasureConstruction:
+    def test_negative_zero_weight_stored_as_zero(self):
+        settings = SettingsDistribution(1.0, 0.0, 0.0, 0.0)
+        m = JointMeasure.from_probabilities(TSIRELSON_ANGLES, settings, [0.5, 0.5] + [-0.0] * 14)
+        assert [math.copysign(1.0, w) for w in m.probs.tolist()] == [1.0] * 16
+
     def test_from_probabilities_mapping(self):
         cells = {(1, 1, 0, 0): 0.5, (-1, -1, 1, 1): 0.5}
         m = JointMeasure.from_probabilities(

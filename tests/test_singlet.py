@@ -48,6 +48,11 @@ class TestDetectorAngle:
         assert DetectorAngle(0.0).radians == 0.0
         assert DetectorAngle(1.0).radians == 1.0
 
+    @pytest.mark.parametrize("a", [-0.0, -math.pi, -2 * math.pi, math.pi])
+    def test_zero_is_stored_positive(self, a):
+        """One detector has one spelling: -0 and -k*pi give the bytes of 0."""
+        assert math.copysign(1.0, DetectorAngle(a).radians) == 1.0
+
     def test_negative_wraps(self):
         assert DetectorAngle(-math.pi / 4).radians == pytest.approx(3 * math.pi / 4, abs=1e-15)
 
