@@ -4,10 +4,15 @@ One subcommand per capability; each returns one document (json, csv, or an
 aligned table) and an exit code, and `main` alone writes it to stdout, with
 diagnostics on stderr as one ``error:`` line.  Exit codes: 0 success, 1
 inequality violated under --strict (the document is still written), 2 any
-other failure (usage, configuration, or an error while computing).  A
-reader that closes stdout early is not a failure: writing stops, nothing is
-printed on stderr and the exit code is the subcommand's.  Size flags (--n,
---grid, --restarts) have upper bounds, checked before anything is allocated.
+other failure (usage, configuration, an error while computing, or a stdout
+that cannot be written, such as a full disk or a file at its size limit).
+A reader that closes stdout early is not a failure: writing stops, nothing
+is printed on stderr and the exit code is the subcommand's.  Two failed
+writes go unreported: with PYTHONUNBUFFERED set, CPython's write-through
+stdout ignores a short write, so a document cut at a size limit still exits
+0; and on an unbuffered stdout argparse itself discards a failed --help or
+--version write.  Size flags (--n, --grid, --restarts) have upper bounds,
+checked before anything is allocated.
 
 Shared option values can come from a config file (--config PATH) holding
 ``key = value`` lines with ``#`` comments; explicit flags win over the
@@ -437,12 +442,12 @@ def _write(pieces: Iterable[str]) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse wrote help, the version or a usage error
-        if sys.stdout is not None:  # without fd 1, argparse writes to stderr
-            _write(())
-        return int(exc.code or 0)
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse wrote help, the version or a usage error
+            if sys.stdout is not None:  # without fd 1, argparse writes to stderr
+                _write(())
+            return int(exc.code or 0)
         if sys.stdout is None:  # the process started with fd 1 closed
             raise OSError("stdout is closed")
         output, code = args.handler(_Options(args))

@@ -34,8 +34,8 @@ import numpy as np
 from scipy.optimize import linprog  # noqa: F401
 
 from .probspace import (
-    COLUMN_ORDER, ROW_ORDER, STRATEGY_ANSWERS, JointMeasure, _integer, _seed, _setting_pair,
-    chsh_measure,
+    COLUMN_ORDER, ROW_ORDER, STRATEGY_ANSWERS, JointMeasure, _integer, _known_keys, _seed,
+    _setting_pair, chsh_measure,
 )
 # `conditional_joint_probs` is not called here, `chsh_measure` is.  It stays
 # importable as bellmodel.lhv.conditional_joint_probs, a name only bench/layers.py looks up.
@@ -402,6 +402,7 @@ class LHVModel:
         if not isinstance(doc, Mapping):
             raise ValueError(f"a model document must be a mapping, got {type(doc).__name__}")
         names = [field.name for field in fields(cls)]
+        _known_keys(doc, names, f"model document keys must be {', '.join(names)}")
         missing = [name for name in names if name not in doc]
         if missing:
             raise ValueError(f"model document is missing {', '.join(missing)}")

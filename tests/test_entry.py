@@ -1,12 +1,14 @@
-"""The process entry `bellmodel.__main__.run`: it freezes the heap, `main` never does,
-a process started through it writes what `main` writes, and it ends with
-`os._exit` once its output is flushed."""
+"""The process entry `bellmodel.__main__.run`: it ends the process with
+`os._exit(main())`, neither it nor `main` freezes the heap, a process started
+through it writes what `main` writes, and a stdout that cannot be written
+exits 2 with one error line."""
 
 import errno
 import gc
 import io
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -42,47 +44,20 @@ CLOSED_PIPE = [
 ]
 
 
-def test_run_freezes_the_heap_before_main(monkeypatch):
-    seen, exits = [], []
-
-    def stub():
-        seen.append(gc.get_freeze_count())
-        return 3
+def test_run_exits_with_mains_code_and_never_freezes(monkeypatch):
+    """The entry hands `main`'s code straight to `os._exit` and leaves the
+    collector as the import left it."""
+    exits = []
 
     def exit_now(code):  # os._exit would end the test process itself
         exits.append(code)
-        raise SystemExit(code)
 
-    monkeypatch.setattr(entry, "main", stub)
-    monkeypatch.setattr(entry.os, "_exit", exit_now)
-    try:
-        with pytest.raises(SystemExit) as exc:
-            entry.run()
-    finally:
-        gc.unfreeze()
-    assert exc.value.code == 3 and exits == [3]
-    assert len(seen) == 1 and seen[0] > 0
-
-
-def test_run_exits_normally_when_a_flush_fails(monkeypatch):
-    """A stream that cannot be flushed is left to the interpreter's own exit."""
-
-    class BrokenStdout(io.StringIO):
-        def flush(self):
-            raise BrokenPipeError
-
-    def exit_now(code):
-        raise AssertionError(f"os._exit({code}) after a failed flush")
-
+    before = gc.get_freeze_count()
     monkeypatch.setattr(entry, "main", lambda: 3)
     monkeypatch.setattr(entry.os, "_exit", exit_now)
-    monkeypatch.setattr(sys, "stdout", BrokenStdout())
-    try:
-        with pytest.raises(SystemExit) as exc:
-            entry.run()
-    finally:
-        gc.unfreeze()
-    assert exc.value.code == 3
+    entry.run()
+    assert exits == [3]
+    assert gc.get_freeze_count() == before
 
 
 def test_main_in_process_never_freezes(capsys):
@@ -164,6 +139,48 @@ def test_unwritable_stderr_still_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stderr", ClosedStderr())
     assert main(["chsh", "--angles", "1"]) == 2
     assert capsys.readouterr().out == ""
+
+
+#: requests whose stdout cannot be written, each exiting 2
+UNWRITABLE = [
+    ["chsh"],
+    ["lhv-fit", "--format", "json"],
+    ["sample", "--n", "100000"],
+    ["--help"],
+    ["--version"],
+]
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE, ids=" ".join)
+def test_unwritable_stdout_is_one_error_line(tmp_path, argv):
+    """Buffered stdout appended to a file already at the process's size
+    limit: every write fails with EFBIG (Python ignores SIGXFSZ), as ENOSPC
+    or EIO would.  The request exits 2 with one error line, not a traceback
+    or a second report at exit."""
+    limit = 1024
+    out = tmp_path / "full.out"
+    out.write_bytes(b"\0" * limit)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with out.open("ab") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bellmodel", *argv], stdout=stdout, stderr=subprocess.PIPE,
+            env=env, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
+    lines = proc.stderr.decode().splitlines()
+    assert (proc.returncode, len(lines)) == (2, 1), proc.stderr.decode()
+    assert lines[0].startswith("error: ")
+    assert out.stat().st_size == limit
+
+
+def test_help_on_a_full_stdout_exits_2(monkeypatch, capsys):
+    """argparse leaves --help in the stdout buffer; the flush that fails is `main`'s own."""
+
+    class FullStdout(io.StringIO):
+        def flush(self):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert main(["--help"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
 
 def test_installed_command_runs_the_entry():

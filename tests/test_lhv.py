@@ -460,6 +460,15 @@ class TestLHVModel:
         with pytest.raises(ValueError, match=f"^{message}$"):
             LHVModel.from_json(json.dumps(doc))
 
+    def test_unknown_keys_rejected(self):
+        doc = {**self.one_point_doc("rho", 1.0), "p_respons": [[0.5], [0.5]], "seed": 1}
+        message = ("model document keys must be lambda_grid, rho, p_response, q_response, "
+                   "got 'p_respons', 'seed'")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LHVModel.from_dict(doc)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LHVModel.from_json(json.dumps(doc))
+
     @pytest.mark.parametrize("value", [{"p": 1.0}, [{"p": 1.0}], ["1.0"]])
     def test_non_numeric_field_rejected(self, value):
         doc = {**self.one_point_doc("rho", 1.0), "rho": value}
