@@ -69,7 +69,7 @@ from .singlet import TSIRELSON_ANGLES, DetectorAngle
 
 __all__ = ["main"]
 
-#: Largest accepted --n.  `sample` streams one chunk of trials at a time,
+#: Largest accepted --n.  `sample` streams one block of trials at a time,
 #: so memory does not grow with n; the bound caps run time and output size
 #: instead (10^7 trials are 169 MB of trial CSV).
 _MAX_N = 10_000_000
@@ -431,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _write(pieces: Iterable[str]) -> None:
     """Write to stdout and flush it; a reader that closed stdout is not a failure."""
     try:
-        for piece in pieces:  # the trial CSV arrives one chunk of trials at a time
+        for piece in pieces:  # the trial CSV arrives one block of trials at a time
             sys.stdout.write(piece)
         sys.stdout.flush()
     except BrokenPipeError:  # stop writing

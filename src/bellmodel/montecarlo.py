@@ -4,15 +4,18 @@ Trials are drawn by inverse-CDF lookup over the 16-cell joint table using
 the counter-based Philox generator, in fixed-size chunks keyed by
 (seed, chunk index).  The stream for a given (measure, seed, n) is
 therefore reproducible across runs and platforms, and extending a series
-keeps its prefix: trial k never depends on how many trials follow it.
+keeps its prefix: trial k never depends on how many trials follow it.  Each
+chunk's stream is drawn in blocks of `_BLOCK` trials; consecutive fills
+consume it as one fill of the whole chunk would, and the chunk keys are
+unchanged, so `GENERATOR_ID` is too.
 
 A `TrialSeries` stores each trial only as its ``uint8`` cell index (position
 in `OUTCOME_ORDER`); its columns, counts and both layouts are lookups on it.
 `sample_chunks` returns the same trials as a re-iterable draw: iterating it
-yields the cells one chunk at a time, from which the trial CSV is written as
-they are drawn, and `empirical_measure` counts it from each chunk's uniforms
+yields the cells one chunk at a time, from which the trial CSV is written one
+block at a time, and `empirical_measure` counts it from each block's uniforms
 without forming cells.  Either way a run of any length needs memory for one
-chunk only.
+block of uniforms and text only, plus one chunk of cells when it writes CSV.
 
 Serialized layouts (both byte-exact):
 
@@ -56,6 +59,10 @@ CHUNK = 65536
 
 #: Identifies the sampling algorithm a series was drawn with.
 GENERATOR_ID = "philox4x64/inverse-cdf/chunk65536/v1"
+
+#: Trials drawn, counted or formatted at a time.  Filling consecutive
+#: slices of one buffer draws the same uniforms as one fill of the chunk.
+_BLOCK = 16384
 
 _CELL_X = np.array([o.x for o in OUTCOME_ORDER], dtype=np.int8)
 _CELL_Y = np.array([o.y for o in OUTCOME_ORDER], dtype=np.int8)
@@ -121,12 +128,13 @@ def _csv_rows(start: int, cells: np.ndarray) -> str:
 def trial_csv(chunks: Iterable[np.ndarray]) -> Iterator[str]:
     """Trial CSV of consecutive chunks of cell indices 0-15 (as a
     `sample_chunks` draw yields them), piece by piece: the header, then the
-    rows of each chunk as it arrives."""
+    rows of each chunk as it arrives, one piece per `_BLOCK` rows."""
     yield "n,x,y,i,j\n"
     start = 0
     for cells in chunks:
         cells = _check_cells(cells)  # the suffix lookup would take -1 as cell 15
-        yield _csv_rows(start, cells)
+        for offset in range(0, len(cells), _BLOCK):
+            yield _csv_rows(start + offset, cells[offset : offset + _BLOCK])
         start += len(cells)
 
 
@@ -247,7 +255,9 @@ def decode_binary(blob: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
 class _Draw:
     """``n`` trials of a run keyed by ``seed``, drawn by comparing uniforms
     with the nondecreasing cumulative ``thresholds``: a trial's cell is the
-    number of thresholds at or below its uniform."""
+    number of thresholds at or below its uniform.  Each chunk's uniforms
+    are drawn one `_BLOCK` at a time into one buffer reused for every
+    block."""
 
     thresholds: np.ndarray
     n: int
@@ -260,15 +270,18 @@ class _Draw:
             yield min(CHUNK, self.n - start), np.random.Generator(np.random.Philox(key=key))
 
     def __iter__(self) -> Iterator[np.ndarray]:
+        u = np.empty(min(_BLOCK, self.n))  # one buffer for every block's uniforms
         for size, gen in self._generators():
-            u = gen.random(size)
-            # The thresholds are nondecreasing, so this count equals
-            # searchsorted(cdf, u, side="right") capped at the last possible
-            # cell, with the same float comparisons.
             cells = np.zeros(size, dtype=np.uint8)
-            for threshold in self.thresholds:
-                cells += u >= threshold
-            del u  # not held while the consumer works on the cells
+            for start in range(0, size, _BLOCK):
+                block = u[: size - start]
+                gen.random(out=block)
+                # The thresholds are nondecreasing, so this count equals
+                # searchsorted(cdf, u, side="right") capped at the last
+                # possible cell, with the same float comparisons.
+                out = cells[start : start + _BLOCK]
+                for threshold in self.thresholds:
+                    out += block >= threshold
             yield cells
 
     def counts(self) -> np.ndarray:
@@ -276,24 +289,26 @@ class _Draw:
         uniforms alone: a trial is in cell k or later exactly when its
         uniform is at or above threshold k - 1, so counting those per
         threshold gives every cell's count as a difference."""
-        u = np.empty(min(CHUNK, self.n))  # one buffer for every chunk's uniforms
+        thresholds = self.thresholds.tolist()  # a float is cheaper per call than a numpy scalar
+        u = np.empty(min(_BLOCK, self.n))  # one buffer for every block's uniforms
         above = np.empty(u.size, dtype=bool)
-        at_least = np.zeros(17, dtype=np.int64)  # trials in cell k or later
-        at_least[0] = self.n
+        at_least = [self.n] + [0] * 16  # trials in cell k or later
         for size, gen in self._generators():
-            chunk, mask = u[:size], above[:size]
-            gen.random(out=chunk)
-            for k, threshold in enumerate(self.thresholds, 1):
-                np.greater_equal(chunk, threshold, out=mask)
-                at_least[k] += np.count_nonzero(mask)
-        return at_least[:-1] - at_least[1:]
+            for start in range(0, size, _BLOCK):
+                block, mask = u[: size - start], above[: size - start]
+                gen.random(out=block)
+                for k, threshold in enumerate(thresholds, 1):
+                    np.greater_equal(block, threshold, out=mask)
+                    at_least[k] += np.count_nonzero(mask)
+        return np.subtract(at_least[:-1], at_least[1:])
 
 
 def sample_chunks(measure: JointMeasure, n: int, seed: int) -> _Draw:
     """Draw ``n`` independent trials from the joint measure, one `CHUNK` at
     a time.  Returns a re-iterable draw: each pass over it yields the same
-    chunks, each chunk's cells as a fresh ``uint8`` array, and
-    `empirical_measure` counts it straight from its uniforms.
+    chunks, each chunk's cells as a fresh ``uint8`` array filled one block
+    at a time, and `empirical_measure` counts it straight from its uniforms,
+    block by block.
 
     Chunk c uses its own Philox stream keyed by (seed, c).  A uniform u maps
     to the number of cumulative thresholds at or below u among the cells

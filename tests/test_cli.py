@@ -232,9 +232,10 @@ class TestSample:
         assert out == ""
         assert one_error_line(err)
 
-    # cli.main at 64 chunks: the json and table bounds are half the 4 MB the
-    # run's cells would take, and the CSV bound is far below its 70 MB of text.
-    @pytest.mark.parametrize("fmt, bound_mb", [("json", 2), ("table", 2), ("csv", 8)])
+    # cli.main at 64 chunks: json and table hold one block of uniforms, bound
+    # at an eighth of the 4 MB the run's cells would take; csv holds one chunk
+    # of cells and one block of text, bound far below its 70 MB of text.
+    @pytest.mark.parametrize("fmt, bound_mb", [("json", 0.5), ("table", 0.5), ("csv", 3)])
     def test_peak_memory_bounded(self, fmt, bound_mb):
         argv = ["sample", "--n", str(64 * CHUNK), "--seed", "3", "--format", fmt]
         with open(os.devnull, "w", encoding="ascii") as sink:

@@ -37,6 +37,9 @@ from bellmodel.singlet import TSIRELSON_ANGLES, DetectorAngle
 
 SQRT2 = math.sqrt(2.0)
 
+#: Trials the sampler draws, counts and formats at a time.
+BLOCK = montecarlo._BLOCK
+
 PINNED_SEED = 20260819
 
 
@@ -456,7 +459,8 @@ class TestSampling:
             TrialSeries(cells=[0.5], seed=0, measure_digest="")
 
     def test_sample_peak_memory_bounded(self):
-        """One byte per trial plus a few CHUNK-sized temporaries, at any n."""
+        """One byte per trial plus one chunk of cells and one block of
+        uniforms and comparison temporaries, at any n."""
         m = chsh_measure(TSIRELSON_ANGLES)
         n = 32 * CHUNK
         tracemalloc.start()
@@ -466,7 +470,7 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert len(series) == n
-        assert peak < n + 3 * 8 * CHUNK
+        assert peak < n + 4 * 8 * BLOCK
 
 
 #: Measures for the streaming checks: the default table, one with whole
@@ -482,14 +486,22 @@ STREAM_MEASURES = {
 
 def check_stream(m, n, seed):
     """The chunk stream, the CSV written from it and the counts taken from
-    it all agree with the series `sample` returns."""
+    it all agree with the series `sample` returns; the CSV comes as the
+    header, then one piece per `BLOCK` rows of each chunk, each starting at
+    its first trial's index."""
     series = sample(m, n, seed=seed)
     chunks = list(sample_chunks(m, n, seed))
     assert [len(c) for c in chunks] == [min(CHUNK, n - s) for s in range(0, n, CHUNK)]
     assert all(c.dtype == np.uint8 for c in chunks)
     np.testing.assert_array_equal(np.concatenate(chunks), series.cells)
     pieces = list(trial_csv(sample_chunks(m, n, seed)))
-    assert pieces[0] == "n,x,y,i,j\n" and len(pieces) == 1 + len(chunks)
+    layout = [
+        (start + offset, min(BLOCK, len(c) - offset))
+        for start, c in zip(range(0, n, CHUNK), chunks)
+        for offset in range(0, len(c), BLOCK)
+    ]
+    assert pieces[0] == "n,x,y,i,j\n"
+    assert [(int(p[: p.index(",")]), p.count("\n")) for p in pieces[1:]] == layout
     assert "".join(pieces) == series.to_csv()
     np.testing.assert_array_equal(
         empirical_measure(sample_chunks(m, n, seed)).counts, empirical_measure(series).counts
@@ -499,7 +511,10 @@ def check_stream(m, n, seed):
 
 class TestStreaming:
     @pytest.mark.parametrize("name", STREAM_MEASURES)
-    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize(
+        "n",
+        [1, BLOCK - 1, BLOCK, BLOCK + 1, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + BLOCK + 1, 2 * CHUNK + 3],
+    )
     def test_stream_matches_series(self, n, name):
         check_stream(STREAM_MEASURES[name], n, seed=n)
 
@@ -530,7 +545,12 @@ class TestStreaming:
             st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=16, max_size=16)
             .filter(any),
         ),
-        n=st.one_of(st.integers(1, 3 * CHUNK), st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1])),
+        n=st.one_of(
+            st.integers(1, 3 * CHUNK),
+            st.sampled_from(
+                [BLOCK - 1, BLOCK, BLOCK + 1, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + BLOCK + 1]
+            ),
+        ),
         seed=st.integers(0, 2**64 - 1),
     )
     def test_draw_counts_match_bincount_of_cells(self, weights, n, seed):
@@ -588,10 +608,10 @@ class TestStreaming:
         assert empirical_measure(chunks).counts.tolist() == [1, 1, 0, 1] + [0] * 12
 
     def test_stream_peak_memory_bounded(self):
-        """Counting a long draw holds one chunk's uniforms (8 bytes per
+        """Counting a long draw holds one block's uniforms (8 bytes per
         trial) and one comparison mask (1 byte per trial), allocated once
-        and refilled for every chunk: no cell array, no wider copy of one,
-        and nothing per trial of the run."""
+        and refilled for every block: no cell array, no wider copy of one,
+        and nothing per trial of the chunk or the run."""
         m = chsh_measure(TSIRELSON_ANGLES)
         tracemalloc.start()
         try:
@@ -600,7 +620,7 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert emp.n == 64 * CHUNK
-        assert peak < 10 * CHUNK
+        assert peak < 2 * 9 * BLOCK
 
 
 class TestSerialization:

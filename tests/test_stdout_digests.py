@@ -96,8 +96,14 @@ PINNED = [
      "3a535ac45db4b076200dee831664ca1f656add51107ce306359b77a997021186"),
     (("sample", JITTERED, *SKEWED, "--seed", "99", "--n", "100001"),
      "9909cc9a268529ba6a2dfe95d967b82e9e575712c2f054e26e6e8a9b2b0b57da"),
-    # The summaries count the cells one CHUNK at a time, so 200000 trials cross
-    # three counting boundaries as well.
+    # 49153 = 3 * 16384 + 1 trials end one row past the third block of the
+    # sampler and the CSV writer, inside the first chunk.
+    (("sample", "--format", "csv", "--n", "49153"),
+     "453654604092a0070f40c301e6b954b72ad5ad3dfe720b11764a0df7dee28342"),
+    (("sample", "--format", "json", "--n", "49153"),
+     "5f9daf6276f6816372cfbdb620ee0439e038a7d7cfb799bd2db4d5323928a6ae"),
+    # The summaries count each CHUNK's uniforms block by block, so 200000
+    # trials cross three chunk boundaries of the counting as well.
     (("sample", "--format", "table", "--n", "200000"),
      "edc8697700afb45635dd945be609c657b900b033197330d73b5c34cd8960e76c"),
     (("sample", JITTERED, *SKEWED, "--n", "200000", "--seed", "99", "--format", "table"),
