@@ -1,21 +1,21 @@
 """Monte Carlo simulation of the four-setting experiment.
 
 Trials are drawn by inverse-CDF lookup over the 16-cell joint table using
-the counter-based Philox generator, in fixed-size chunks keyed by
-(seed, chunk index).  The stream for a given (measure, seed, n) is
-therefore reproducible across runs and platforms, and extending a series
-keeps its prefix: trial k never depends on how many trials follow it.  Each
-chunk's stream is drawn in blocks of `_BLOCK` trials; consecutive fills
-consume it as one fill of the whole chunk would, and the chunk keys are
-unchanged, so `GENERATOR_ID` is too.
+the counter-based Philox generator, keyed by (seed, chunk index) for each
+`CHUNK` of trials.  The stream for a given (measure, seed, n) is therefore
+reproducible across runs and platforms, and extending a series keeps its
+prefix: trial k never depends on how many trials follow it.  Every pass
+works one `_BLOCK` of trials at a time: consecutive fills consume a chunk's
+stream as one fill of the whole chunk would, so `GENERATOR_ID` names the
+chunk keys alone.
 
 A `TrialSeries` stores each trial only as its ``uint8`` cell index (position
-in `OUTCOME_ORDER`); its columns, counts and both layouts are lookups on it.
-`sample_chunks` returns the same trials as a re-iterable draw: iterating it
-yields the cells one chunk at a time, from which the trial CSV is written one
-block at a time, and `empirical_measure` counts it from each block's uniforms
-without forming cells.  Either way a run of any length needs memory for one
-block of uniforms and text only, plus one chunk of cells when it writes CSV.
+in `OUTCOME_ORDER`); its columns, counts and both layouts are lookups on it,
+and ``series[k]`` is trial k's `ChshOutcome`.  `sample_chunks` returns the
+same trials as a re-iterable draw: iterating it yields the cells one block at
+a time, from which the trial CSV is written, and `empirical_measure` counts
+it from each block's uniforms without forming cells.  Either way a run of
+any length needs memory for one block of uniforms, cells and text only.
 
 Serialized layouts (both byte-exact):
 
@@ -42,7 +42,6 @@ from .probspace import (
 __all__ = [
     "CHUNK",
     "EmpiricalMeasure",
-    "ExperimentRecord",
     "GENERATOR_ID",
     "TrialSeries",
     "chi_square_statistic",
@@ -60,14 +59,12 @@ CHUNK = 65536
 #: Identifies the sampling algorithm a series was drawn with.
 GENERATOR_ID = "philox4x64/inverse-cdf/chunk65536/v1"
 
-#: Trials drawn, counted or formatted at a time.  Filling consecutive
-#: slices of one buffer draws the same uniforms as one fill of the chunk.
+#: Trials drawn, counted or formatted at a time; it divides `CHUNK`, so
+#: each block continues the stream of one chunk.
 _BLOCK = 16384
 
-_CELL_X = np.array([o.x for o in OUTCOME_ORDER], dtype=np.int8)
-_CELL_Y = np.array([o.y for o in OUTCOME_ORDER], dtype=np.int8)
-_CELL_I = np.array([o.i for o in OUTCOME_ORDER], dtype=np.int8)
-_CELL_J = np.array([o.j for o in OUTCOME_ORDER], dtype=np.int8)
+#: Columns x, y (+-1) and i, j (0/1) of every canonical cell, shape (4, 16).
+_COLUMNS = np.array([[getattr(o, c) for o in OUTCOME_ORDER] for c in "xyij"], dtype=np.int8)
 
 #: Trial-CSV text after the trial index, per canonical cell: ``",x,y,i,j\n"``
 #: as one NUL-padded 12-byte word.
@@ -94,7 +91,7 @@ _BYTES = [(o.x > 0) | (o.y > 0) << 1 | o.i << 2 | o.j << 3 for o in OUTCOME_ORDE
 _BYTE_OF_CELL = np.array(_BYTES, dtype=np.uint8)
 _CELL_OF_BYTE = np.array([_BYTES.index(b) if b < 16 else 16 for b in range(256)], dtype=np.uint8)
 
-for _table in (_CELL_X, _CELL_Y, _CELL_I, _CELL_J, _CSV_SUFFIX, _BYTE_OF_CELL, _CELL_OF_BYTE):
+for _table in (_COLUMNS, _CSV_SUFFIX, _BYTE_OF_CELL, _CELL_OF_BYTE):
     _table.flags.writeable = False
 
 
@@ -148,13 +145,6 @@ def _check_cells(cells: object) -> np.ndarray:
     if cells.size and (cells.min() < 0 or cells.max() > 15):
         raise ValueError("cells must hold only canonical cell indices 0-15")
     return cells.astype(np.uint8, copy=False)
-
-
-@dataclass(frozen=True)
-class ExperimentRecord(ChshOutcome):
-    """One simulated run: a `ChshOutcome` plus its trial index n."""
-
-    n: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,33 +201,29 @@ class TrialSeries:
         row = (x < 0) * 1 + (y < 0) * 2  # position of (x, y) in ROW_ORDER
         return cls(CELL_INDEX[row, i, j], seed, measure_digest)
 
-    x = property(lambda self: _CELL_X[self.cells])
-    y = property(lambda self: _CELL_Y[self.cells])
-    i = property(lambda self: _CELL_I[self.cells])
-    j = property(lambda self: _CELL_J[self.cells])
+    x = property(lambda self: _COLUMNS[0][self.cells])
+    y = property(lambda self: _COLUMNS[1][self.cells])
+    i = property(lambda self: _COLUMNS[2][self.cells])
+    j = property(lambda self: _COLUMNS[3][self.cells])
 
     def __len__(self) -> int:
         return self.cells.shape[0]
 
-    def __getitem__(self, n: int) -> ExperimentRecord:
+    def __getitem__(self, n: int) -> ChshOutcome:
+        """Trial n's outcome; iteration runs through it up to the IndexError."""
         # range() reads True as trial 1, and a slice fails inside numpy.
         if isinstance(n, bool) or not isinstance(n, numbers.Integral):
             raise TypeError(f"trial index must be an integer, got {type(n).__name__}")
-        index = range(len(self))[n]
-        return ExperimentRecord(**vars(OUTCOME_ORDER[self.cells[index]]), n=index)
+        return OUTCOME_ORDER[self.cells[range(len(self))[n]]]
 
-    def __iter__(self) -> Iterator[ExperimentRecord]:
-        for n in range(len(self)):
-            yield self[n]
-
-    def _chunks(self) -> Iterator[np.ndarray]:
-        for start in range(0, len(self), CHUNK):
-            yield self.cells[start : start + CHUNK]
+    def _blocks(self) -> Iterator[np.ndarray]:
+        for start in range(0, len(self), _BLOCK):
+            yield self.cells[start : start + _BLOCK]
 
     def to_csv(self) -> str:
-        """Trial CSV, built one `CHUNK` of trials at a time from table
+        """Trial CSV, built one `_BLOCK` of trials at a time from table
         lookups: digit words of each index and one of 16 cell suffixes."""
-        return "".join(trial_csv(self._chunks()))
+        return "".join(trial_csv(self._blocks()))
 
     def to_binary(self) -> bytes:
         return _BYTE_OF_CELL[self.cells].tobytes()
@@ -248,40 +234,39 @@ def decode_binary(blob: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     cells = _CELL_OF_BYTE[np.frombuffer(blob, dtype=np.uint8)]
     if cells.size and int(cells.max()) > 15:
         raise ValueError("invalid record byte: bits 4-7 must be 0")
-    return _CELL_X[cells], _CELL_Y[cells], _CELL_I[cells], _CELL_J[cells]
+    return tuple(_COLUMNS[:, cells])
 
 
 @dataclass(frozen=True, eq=False)
 class _Draw:
     """``n`` trials of a run keyed by ``seed``, drawn by comparing uniforms
     with the nondecreasing cumulative ``thresholds``: a trial's cell is the
-    number of thresholds at or below its uniform.  Each chunk's uniforms
-    are drawn one `_BLOCK` at a time into one buffer reused for every
-    block."""
+    number of thresholds at or below its uniform."""
 
     thresholds: np.ndarray
     n: int
     seed: int
 
-    def _generators(self) -> Iterator[tuple[int, np.random.Generator]]:
-        """Each chunk's size and its Philox generator."""
-        for start in range(0, self.n, CHUNK):
-            key = np.array([self.seed, start // CHUNK], dtype=np.uint64)
-            yield min(CHUNK, self.n - start), np.random.Generator(np.random.Philox(key=key))
+    def _uniforms(self) -> Iterator[np.ndarray]:
+        """Each block's uniforms, in one buffer refilled for every block;
+        chunk c's blocks continue one Philox stream keyed by (seed, c)."""
+        u = np.empty(min(_BLOCK, self.n))
+        for start in range(0, self.n, _BLOCK):
+            if start % CHUNK == 0:
+                key = np.array([self.seed, start // CHUNK], dtype=np.uint64)
+                gen = np.random.Generator(np.random.Philox(key=key))
+            block = u[: self.n - start]
+            gen.random(out=block)
+            yield block
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        u = np.empty(min(_BLOCK, self.n))  # one buffer for every block's uniforms
-        for size, gen in self._generators():
-            cells = np.zeros(size, dtype=np.uint8)
-            for start in range(0, size, _BLOCK):
-                block = u[: size - start]
-                gen.random(out=block)
-                # The thresholds are nondecreasing, so this count equals
-                # searchsorted(cdf, u, side="right") capped at the last
-                # possible cell, with the same float comparisons.
-                out = cells[start : start + _BLOCK]
-                for threshold in self.thresholds:
-                    out += block >= threshold
+        for u in self._uniforms():
+            # The thresholds are nondecreasing, so this count equals
+            # searchsorted(cdf, u, side="right") capped at the last
+            # possible cell, with the same float comparisons.
+            cells = np.zeros(u.size, dtype=np.uint8)
+            for threshold in self.thresholds:
+                cells += u >= threshold
             yield cells
 
     def counts(self) -> np.ndarray:
@@ -290,31 +275,27 @@ class _Draw:
         uniform is at or above threshold k - 1, so counting those per
         threshold gives every cell's count as a difference."""
         thresholds = self.thresholds.tolist()  # a float is cheaper per call than a numpy scalar
-        u = np.empty(min(_BLOCK, self.n))  # one buffer for every block's uniforms
-        above = np.empty(u.size, dtype=bool)
+        above = np.empty(min(_BLOCK, self.n), dtype=bool)
         at_least = [self.n] + [0] * 16  # trials in cell k or later
-        for size, gen in self._generators():
-            for start in range(0, size, _BLOCK):
-                block, mask = u[: size - start], above[: size - start]
-                gen.random(out=block)
-                for k, threshold in enumerate(thresholds, 1):
-                    np.greater_equal(block, threshold, out=mask)
-                    at_least[k] += np.count_nonzero(mask)
+        for u in self._uniforms():
+            mask = above[: u.size]
+            for k, threshold in enumerate(thresholds, 1):
+                np.greater_equal(u, threshold, out=mask)
+                at_least[k] += np.count_nonzero(mask)
         return np.subtract(at_least[:-1], at_least[1:])
 
 
 def sample_chunks(measure: JointMeasure, n: int, seed: int) -> _Draw:
-    """Draw ``n`` independent trials from the joint measure, one `CHUNK` at
-    a time.  Returns a re-iterable draw: each pass over it yields the same
-    chunks, each chunk's cells as a fresh ``uint8`` array filled one block
-    at a time, and `empirical_measure` counts it straight from its uniforms,
-    block by block.
+    """Draw ``n`` independent trials from the joint measure.  Returns a
+    re-iterable draw: each pass over it yields the same cells, one `_BLOCK`
+    of trials at a time as a fresh ``uint8`` array, and `empirical_measure`
+    counts it straight from its uniforms, block by block.
 
     Chunk c uses its own Philox stream keyed by (seed, c).  A uniform u maps
     to the number of cumulative thresholds at or below u among the cells
     before the last possible one, so cells of probability 0 are never
     produced.  ``n`` and ``seed`` are checked on the call, before the first
-    chunk is drawn.
+    block is drawn.
     """
     n, seed = _integer("n", n), _seed(seed)
     if n < 1:
@@ -327,12 +308,12 @@ def sample_chunks(measure: JointMeasure, n: int, seed: int) -> _Draw:
 
 
 def sample(measure: JointMeasure, n: int, seed: int) -> TrialSeries:
-    """Draw ``n`` independent trials from the joint measure: the chunks of
+    """Draw ``n`` independent trials from the joint measure: the blocks of
     `sample_chunks` in one series."""
-    chunks = sample_chunks(measure, n, seed)
+    blocks = sample_chunks(measure, n, seed)
     cells = np.empty(n, dtype=np.uint8)
-    for start, chunk in zip(range(0, n, CHUNK), chunks):
-        cells[start : start + CHUNK] = chunk
+    for start, block in zip(range(0, n, _BLOCK), blocks):
+        cells[start : start + _BLOCK] = block
     return TrialSeries(cells=cells, seed=seed, measure_digest=measure.digest())
 
 
@@ -370,12 +351,12 @@ class EmpiricalMeasure:
 
 
 def empirical_measure(trials: TrialSeries | Iterable[np.ndarray]) -> EmpiricalMeasure:
-    """Cell counts of a series, of a draw `sample_chunks` returns (counted
-    from its uniforms, with no cell array), or of any chunks of cells,
-    added up one chunk at a time."""
+    """Cell counts of a series (one `_BLOCK` at a time), of a draw
+    `sample_chunks` returns (counted from its uniforms, with no cell array),
+    or of any chunks of cells, added up one chunk at a time."""
     if isinstance(trials, _Draw):
         return EmpiricalMeasure(trials.counts())
-    chunks = trials._chunks() if isinstance(trials, TrialSeries) else trials
+    chunks = trials._blocks() if isinstance(trials, TrialSeries) else trials
     counts = np.zeros(16, dtype=np.int64)
     for cells in chunks:
         counts += np.bincount(_check_cells(cells), minlength=16)

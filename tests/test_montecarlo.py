@@ -15,7 +15,6 @@ from bellmodel.montecarlo import (
     CHUNK,
     GENERATOR_ID,
     EmpiricalMeasure,
-    ExperimentRecord,
     TrialSeries,
     chi_square_statistic,
     decode_binary,
@@ -63,6 +62,19 @@ def edge_uniforms(monkeypatch, values):
             return out
 
     monkeypatch.setattr(np.random, "Generator", EdgeGenerator)
+
+
+def assert_same_text(actual, expected):
+    """``actual == expected``, reported on a mismatch by the first differing
+    line: pytest's own diff of two megabyte strings runs for minutes."""
+    if actual != expected:
+        a, e = actual.splitlines(keepends=True), expected.splitlines(keepends=True)
+        k = next((k for k, (x, y) in enumerate(zip(a, e)) if x != y), min(len(a), len(e)))
+        pytest.fail(
+            f"texts differ first at line {k + 1} ({len(a)} vs {len(e)} lines): "
+            f"{a[k : k + 1]!r} != {e[k : k + 1]!r}",
+            pytrace=False,
+        )
 
 
 def reference_csv(series):
@@ -244,14 +256,18 @@ class TestSampling:
             TrialSeries(np.array([1, 2]), 0, "", "not-a-generator")
 
     def test_record_access(self):
-        series = sample(degenerate_measure(), 10, seed=0)
-        rec = series[3]
-        assert (rec.n, rec.x, rec.y, rec.i, rec.j) == (3, 1, 1, 0, 0)
-        assert series[-1].n == 9
-        assert series[np.int64(2)].n == 2
-        assert len(list(iter(series))) == 10
-        with pytest.raises(IndexError):
-            series[10]
+        """Trial k is the canonical outcome of its cell, at any integer index;
+        iteration stops at the end of the series."""
+        series = sample(chsh_measure(TSIRELSON_ANGLES), 10, seed=0)
+        for k in (3, -1, -10, np.int64(2), np.uint8(9)):
+            assert series[k] is OUTCOME_ORDER[series.cells[k]]
+        assert list(series) == [OUTCOME_ORDER[c] for c in series.cells]
+        assert (series[3].x, series[3].y, series[3].i, series[3].j) == (
+            series.x[3], series.y[3], series.i[3], series.j[3]
+        )
+        for bad in (10, -11, np.int64(10)):
+            with pytest.raises(IndexError):
+                series[bad]
 
     @pytest.mark.parametrize("bad", [True, np.bool_(False), slice(1, 3), 1.0, "1"])
     def test_record_index_must_be_an_integer(self, bad):
@@ -459,8 +475,8 @@ class TestSampling:
             TrialSeries(cells=[0.5], seed=0, measure_digest="")
 
     def test_sample_peak_memory_bounded(self):
-        """One byte per trial plus one chunk of cells and one block of
-        uniforms and comparison temporaries, at any n."""
+        """One byte per trial plus one block of uniforms, cells and
+        comparison temporaries, at any n."""
         m = chsh_measure(TSIRELSON_ANGLES)
         n = 32 * CHUNK
         tracemalloc.start()
@@ -470,7 +486,7 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert len(series) == n
-        assert peak < n + 4 * 8 * BLOCK
+        assert peak < n + 2 * 9 * BLOCK
 
 
 #: Measures for the streaming checks: the default table, one with whole
@@ -485,24 +501,20 @@ STREAM_MEASURES = {
 
 
 def check_stream(m, n, seed):
-    """The chunk stream, the CSV written from it and the counts taken from
-    it all agree with the series `sample` returns; the CSV comes as the
-    header, then one piece per `BLOCK` rows of each chunk, each starting at
-    its first trial's index."""
+    """The block stream, the CSV written from it and the counts taken from
+    it all agree with the series `sample` returns; the draw yields one array
+    per `BLOCK` trials, and the CSV comes as the header, then one piece per
+    block, each starting at its first trial's index."""
     series = sample(m, n, seed=seed)
-    chunks = list(sample_chunks(m, n, seed))
-    assert [len(c) for c in chunks] == [min(CHUNK, n - s) for s in range(0, n, CHUNK)]
-    assert all(c.dtype == np.uint8 for c in chunks)
-    np.testing.assert_array_equal(np.concatenate(chunks), series.cells)
+    blocks = list(sample_chunks(m, n, seed))
+    layout = [(start, min(BLOCK, n - start)) for start in range(0, n, BLOCK)]
+    assert [len(b) for b in blocks] == [size for _, size in layout]
+    assert all(b.dtype == np.uint8 for b in blocks)
+    np.testing.assert_array_equal(np.concatenate(blocks), series.cells)
     pieces = list(trial_csv(sample_chunks(m, n, seed)))
-    layout = [
-        (start + offset, min(BLOCK, len(c) - offset))
-        for start, c in zip(range(0, n, CHUNK), chunks)
-        for offset in range(0, len(c), BLOCK)
-    ]
     assert pieces[0] == "n,x,y,i,j\n"
     assert [(int(p[: p.index(",")]), p.count("\n")) for p in pieces[1:]] == layout
-    assert "".join(pieces) == series.to_csv()
+    assert_same_text("".join(pieces), series.to_csv())
     np.testing.assert_array_equal(
         empirical_measure(sample_chunks(m, n, seed)).counts, empirical_measure(series).counts
     )
@@ -528,10 +540,10 @@ class TestStreaming:
         check_stream(STREAM_MEASURES[name], n, seed)
 
     def test_draw_iterates_again(self):
-        """A draw is re-iterable: each pass yields the same fresh chunks."""
+        """A draw is re-iterable: each pass yields the same fresh blocks."""
         draw = sample_chunks(chsh_measure(TSIRELSON_ANGLES), 2 * CHUNK + 3, seed=8)
         first, second = list(draw), list(draw)
-        assert len(first) == len(second) == 3
+        assert len(first) == len(second) == 2 * CHUNK // BLOCK + 1
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
             assert not np.shares_memory(a, b)
@@ -601,6 +613,21 @@ class TestStreaming:
         with pytest.raises(ValueError, match=message):
             list(consumer([np.array([0, 1], dtype=np.uint8), bad]))
 
+    def test_csv_splits_callers_chunks_into_blocks(self):
+        """A caller's chunk longer than a block is written one piece per
+        `BLOCK` rows, each starting at its first trial's index."""
+        series = sample(chsh_measure(TSIRELSON_ANGLES), 3 * BLOCK + 5, seed=12)
+        sizes = [BLOCK + 1, 0, 2 * BLOCK + 3, 1]
+        starts = np.cumsum([0] + sizes)
+        pieces = list(trial_csv([series.cells[a:b] for a, b in zip(starts, starts[1:])]))
+        layout = [
+            (start + offset, min(BLOCK, size - offset))
+            for start, size in zip(starts.tolist(), sizes)
+            for offset in range(0, size, BLOCK)
+        ]
+        assert [(int(p[: p.index(",")]), p.count("\n")) for p in pieces[1:]] == layout
+        assert_same_text("".join(pieces), series.to_csv())
+
     def test_empty_and_wide_chunks(self):
         """An empty chunk adds no rows and no counts; any integer width is read as cells."""
         chunks = [np.array([0, 1], dtype=np.uint64), np.array([], dtype=np.uint8), np.array([3])]
@@ -646,10 +673,12 @@ class TestSerialization:
         series = TrialSeries.from_columns(x=x, y=y, i=i, j=j, seed=0, measure_digest="")
         assert series.to_csv() == reference_csv(series)
 
-    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize(
+        "n", [BLOCK - 1, BLOCK, BLOCK + 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
+    )
     def test_csv_matches_row_formatter_at_chunk_edges(self, n):
         series = sample(chsh_measure(TSIRELSON_ANGLES), n, seed=n)
-        assert series.to_csv() == reference_csv(series)
+        assert_same_text(series.to_csv(), reference_csv(series))
 
     # Each n ends just below, at or just past a power of ten, where the last
     # index gains a digit; from 10**4 on, the last four digits follow a lead.
@@ -658,12 +687,12 @@ class TestSerialization:
     )
     def test_csv_matches_row_formatter_at_width_edges(self, n):
         series = sample(chsh_measure(TSIRELSON_ANGLES), n, seed=n)
-        assert series.to_csv() == reference_csv(series)
+        assert_same_text(series.to_csv(), reference_csv(series))
 
     @pytest.mark.parametrize("n", [999999, 1000000, 1000001])
     def test_csv_matches_f_string_writer_at_a_million(self, n):
         series = sample(chsh_measure(TSIRELSON_ANGLES), n, seed=n)
-        assert series.to_csv() == "n,x,y,i,j\n" + f_string_rows(0, series.cells.tolist())
+        assert_same_text(series.to_csv(), "n,x,y,i,j\n" + f_string_rows(0, series.cells.tolist()))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -802,7 +831,7 @@ class TestEmpiricalMeasure:
         assert built.counts[0] == 1000
 
     def test_counting_peak_memory_bounded(self):
-        """Counting works one CHUNK at a time: no copy of the whole series."""
+        """Counting works one BLOCK at a time: no copy of the whole series."""
         series = sample(chsh_measure(TSIRELSON_ANGLES), 32 * CHUNK, seed=5)
         tracemalloc.start()
         try:
@@ -811,7 +840,7 @@ class TestEmpiricalMeasure:
         finally:
             tracemalloc.stop()
         assert emp.n == 32 * CHUNK
-        assert peak < 2 * 8 * CHUNK
+        assert peak < 2 * 8 * BLOCK
 
     def test_chi_square_infinite_on_impossible_cell(self):
         m = chsh_measure(TSIRELSON_ANGLES, SettingsDistribution(0.5, 0.5, 0.0, 0.0))
@@ -916,8 +945,7 @@ class TestEstimates:
 class TestCellLayout:
     def test_lookup_tables_read_only(self):
         """A write to a shared table would change every later lookup."""
-        names = ("_CELL_X", "_CELL_Y", "_CELL_I", "_CELL_J", "_BYTE_OF_CELL",
-                 "_CELL_OF_BYTE", "_CSV_SUFFIX")
+        names = ("_COLUMNS", "_BYTE_OF_CELL", "_CELL_OF_BYTE", "_CSV_SUFFIX")
         tables = [getattr(montecarlo, name) for name in names] + [montecarlo._digit_words()]
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
@@ -951,5 +979,5 @@ class TestCellLayout:
 
     def test_record_is_an_outcome(self):
         rec = sample(degenerate_measure(), 5, seed=0)[4]
-        assert isinstance(rec, ExperimentRecord) and isinstance(rec, ChshOutcome)
-        assert rec.n == 4
+        assert type(rec) is ChshOutcome
+        assert rec == ChshOutcome(x=1, y=1, i=0, j=0)
