@@ -7,12 +7,10 @@ inequality violated under --strict (the document is still written), 2 any
 other failure (usage, configuration, an error while computing, or a stdout
 that cannot be written, such as a full disk or a file at its size limit).
 A reader that closes stdout early is not a failure: writing stops, nothing
-is printed on stderr and the exit code is the subcommand's.  Two failed
-writes go unreported: with PYTHONUNBUFFERED set, CPython's write-through
-stdout ignores a short write, so a document cut at a size limit still exits
-0; and on an unbuffered stdout argparse itself discards a failed --help or
---version write.  Size flags (--n, --grid, --restarts) have upper bounds,
-checked before anything is allocated.
+is printed on stderr and the exit code is the subcommand's.  This holds
+with PYTHONUNBUFFERED set too, and for --help and --version.  Size flags
+(--n, --grid, --restarts) have upper bounds, checked before anything is
+allocated.
 
 Shared option values can come from a config file (--config PATH) holding
 ``key = value`` lines with ``#`` comments; explicit flags win over the
@@ -75,8 +73,8 @@ __all__ = ["main"]
 _MAX_N = 10_000_000
 #: Largest accepted --restarts.
 _MAX_RESTARTS = 1000
-#: Largest accepted --grid per subcommand: witness holds a few complex arrays
-#: of grid nodes, lhv-fit builds a model on grid latent points.
+#: Largest accepted --grid per subcommand: witness sums one block of nodes at
+#: a time, so its bound caps run time; lhv-fit builds a model on grid latent points.
 _MAX_GRID = {"witness": 1_000_000, "lhv-fit": 1024}
 
 #: Largest accepted --config file, in characters; reading stops one past it,
@@ -103,7 +101,18 @@ _OPTIONS: dict[str, dict[str, Any]] = {
 }
 
 
-class _CommandParser(argparse.ArgumentParser):
+class _Parser(argparse.ArgumentParser):
+    """Parser that writes --help and --version through `_write`: argparse's
+    own write drops an OSError, so a full stdout would still exit 0."""
+
+    def _print_message(self, message: str, file: Any = None) -> None:
+        if message and file is not None and file is sys.stdout:
+            _write([message])
+        else:
+            super()._print_message(message, file)
+
+
+class _CommandParser(_Parser):
     """Subcommand parser that reads a value opening with a negative number,
     as in ``--angles -2.3,1,0.5,0.2``, like ``--angles=-2.3,1,0.5,0.2``:
     plain argparse takes such a token for an unknown option unless it is a
@@ -396,7 +405,7 @@ def _add_common(sub: argparse.ArgumentParser, command: str, *names: str) -> None
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellmodel",
         description="Probability model and inequality analysis of the four-setting experiment",
     )
@@ -429,11 +438,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write(pieces: Iterable[str]) -> None:
-    """Write to stdout and flush it; a reader that closed stdout is not a failure."""
+    """Write to stdout and flush it; a reader that closed stdout is not a failure.
+
+    A stdout with a binary buffer gets bytes, written until the buffer has
+    taken them all: an unbuffered stdout's raw file may take part of a piece,
+    and only the next write raises the error (such as EFBIG) that stopped it.
+    """
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
     try:
+        out.flush()  # text a caller wrote before goes first
         for piece in pieces:  # the trial CSV arrives one block of trials at a time
-            sys.stdout.write(piece)
-        sys.stdout.flush()
+            if raw is None:
+                out.write(piece)
+                continue
+            data = memoryview(piece.encode(out.encoding, out.errors))
+            while data:
+                written = raw.write(data)
+                if written is None:  # a non-blocking stdout that is full
+                    raise BlockingIOError("stdout would block")
+                data = data[written:]
+            del data  # an empty slice still holds the encoded piece
+        out.flush()
     except BrokenPipeError:  # stop writing
         # fd 1 on devnull, so that the flush at interpreter exit finds no pipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

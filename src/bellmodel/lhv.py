@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -301,6 +301,22 @@ class FourierWitnessReport:
         return {**asdict(self), "contradiction": self.contradiction}
 
 
+#: Most quadrature nodes `fourier_witness_check` builds at once.
+_WITNESS_BLOCK = 4096
+
+
+def _pairwise_tree(leaf: Callable[[int, int], np.ndarray | np.float64], start: int,
+                   stop: int, width: int) -> np.ndarray | np.float64:
+    """``leaf(s, e)`` summed over [start, stop), split as numpy's pairwise sum
+    splits n = ``width * (stop - start)`` scalars: at n // 2 less its
+    remainder mod 8, until a range fits in one `_WITNESS_BLOCK`."""
+    if stop - start <= _WITNESS_BLOCK:
+        return leaf(start, stop)
+    half = (stop - start) * width // 2
+    mid = start + (half - half % 8) // width
+    return _pairwise_tree(leaf, start, mid, width) + _pairwise_tree(leaf, mid, stop, width)
+
+
 def fourier_witness_check(grid_size: int = 10000) -> FourierWitnessReport:
     """Evaluate the witness integrals by midpoint quadrature on [0, 1].
 
@@ -310,24 +326,39 @@ def fourier_witness_check(grid_size: int = 10000) -> FourierWitnessReport:
     grid_size = _integer("grid_size", grid_size)
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
-    # Built in place, so the nodes, c and |c| are the only arrays held: a
-    # grid of any size needs 24 bytes per node.
-    lam = np.arange(grid_size, dtype=float)
-    lam += 0.5
-    lam /= grid_size
-    c = np.zeros(grid_size, dtype=complex)
-    np.multiply(lam, 2.0 * math.pi, out=c.imag)
-    np.exp(c, out=c)
-    c *= math.sqrt(math.pi / 2.0)
-    w = 1.0 / grid_size
 
-    first = abs(complex(np.sum(c) * w))
-    abs_c = np.abs(c, out=lam)
+    def nodes(start: int, stop: int) -> np.ndarray:
+        lam = np.arange(start, stop, dtype=float)
+        lam += 0.5
+        lam /= grid_size
+        c = np.zeros(stop - start, dtype=complex)
+        np.multiply(lam, 2.0 * math.pi, out=c.imag)
+        np.exp(c, out=c)
+        c *= math.sqrt(math.pi / 2.0)
+        return c
+
+    def moments(start: int, stop: int) -> np.ndarray:
+        c = nodes(start, stop)
+        return np.array([np.sum(c), np.sum(np.square(c, out=c))])
+
+    peak = 0.0
+
+    def power_sum(start: int, stop: int) -> np.float64:
+        nonlocal peak
+        abs_c = np.abs(nodes(start, stop))
+        peak = max(peak, np.max(abs_c))
+        return np.sum(np.square(abs_c, out=abs_c))
+
+    # Each leaf is a range that `np.sum` over all grid nodes at once would
+    # also sum on its own, so the block sums keep that sum's bits.
+    w = 1.0 / grid_size
+    total, total_sq = _pairwise_tree(moments, 0, grid_size, 2)  # a complex node is 2 scalars
+    power = float(_pairwise_tree(power_sum, 0, grid_size, 1) * w)
+    first = abs(complex(total * w))
+    second = abs(complex(total_sq * w))
     # Doubling and dividing by a positive number round monotonically, so
     # they can follow the maximum.
-    amplitude = float(2.0 * np.max(abs_c) / math.sqrt(math.pi))
-    power = float(np.sum(np.square(abs_c, out=abs_c)) * w)
-    second = abs(complex(np.sum(np.square(c, out=c)) * w))
+    amplitude = float(2.0 * peak / math.sqrt(math.pi))
     return FourierWitnessReport(
         first_moment_abs=first,
         second_moment_abs=second,

@@ -82,8 +82,8 @@ def test_module_entry_writes_what_main_writes(capsys, monkeypatch, argv, expecte
 @pytest.mark.parametrize("argv, expected", CLOSED_PIPE, ids=[" ".join(a) for a, _ in CLOSED_PIPE])
 def test_closed_stdout_keeps_the_exit_code(argv, expected, unbuffered):
     """A reader that closed stdout before the process started: the exit code
-    is the request's and stderr stays empty, also when argparse leaves the
-    --help or --version text in a buffered stdout."""
+    is the request's and stderr stays empty, also for the --help and
+    --version text, buffered or not."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -171,8 +171,30 @@ def test_unwritable_stdout_is_one_error_line(tmp_path, argv):
     assert out.stat().st_size == limit
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [*UNWRITABLE, ["chsh", "--help"]], ids=" ".join)
+def test_short_write_is_one_error_line(tmp_path, argv, unbuffered):
+    """Stdout appended to a file 4 bytes below the process's size limit: the
+    first write stops short at the limit and the next one fails with EFBIG.
+    An unbuffered stdout's raw file reports only the short count, which
+    CPython's write-through text layer and argparse both ignore, so the
+    request must finish the write itself to see the error and exit 2."""
+    limit = 1024
+    out = tmp_path / "short.out"
+    out.write_bytes(b"\0" * (limit - 4))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with out.open("ab") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bellmodel", *argv], stdout=stdout, stderr=subprocess.PIPE,
+            env=env, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
+    assert (proc.returncode, proc.stderr.decode()) == (2, "error: [Errno 27] File too large\n")
+    assert out.stat().st_size == limit
+
+
 def test_help_on_a_full_stdout_exits_2(monkeypatch, capsys):
-    """argparse leaves --help in the stdout buffer; the flush that fails is `main`'s own."""
+    """--help reaches stdout through `main`'s own write, whose flush fails."""
 
     class FullStdout(io.StringIO):
         def flush(self):

@@ -270,6 +270,44 @@ class TestFactorizabilityFit:
             assert fit.residual <= scan_min(np.array(fit.params()), k, measure.table) + 1e-15
 
 
+def full_array_witness(grid_size):
+    """The witness over all grid nodes at once, as it was before the block
+    sums: the reference the block-by-block version must match bit for bit."""
+    grid_size = lhv._integer("grid_size", grid_size)
+    if grid_size < 100:
+        raise ValueError("grid_size must be at least 100")
+    # Built in place, so the nodes, c and |c| are the only arrays held: a
+    # grid of any size needs 24 bytes per node.
+    lam = np.arange(grid_size, dtype=float)
+    lam += 0.5
+    lam /= grid_size
+    c = np.zeros(grid_size, dtype=complex)
+    np.multiply(lam, 2.0 * math.pi, out=c.imag)
+    np.exp(c, out=c)
+    c *= math.sqrt(math.pi / 2.0)
+    w = 1.0 / grid_size
+
+    first = abs(complex(np.sum(c) * w))
+    abs_c = np.abs(c, out=lam)
+    # Doubling and dividing by a positive number round monotonically, so
+    # they can follow the maximum.
+    amplitude = float(2.0 * np.max(abs_c) / math.sqrt(math.pi))
+    power = float(np.sum(np.square(abs_c, out=abs_c)) * w)
+    second = abs(complex(np.sum(np.square(c, out=c)) * w))
+    return FourierWitnessReport(
+        first_moment_abs=first,
+        second_moment_abs=second,
+        power=power,
+        response_amplitude_max=amplitude,
+        grid_size=grid_size,
+    )
+
+
+def witness_fields(report):
+    return (report.first_moment_abs, report.second_moment_abs, report.power,
+            report.response_amplitude_max)
+
+
 class TestFourierWitness:
     def test_reference_grid(self):
         report = fourier_witness_check(grid_size=10000)
@@ -291,16 +329,29 @@ class TestFourierWitness:
             fourier_witness_check(grid_size=99)
 
     def test_peak_memory_bounded(self):
-        """The nodes, c and |c| are built in place: 24 bytes per node, where
-        temporaries of every expression took 40."""
-        grid = 50000
-        tracemalloc.start()
-        try:
-            fourier_witness_check(grid_size=grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 25 * grid
+        """One block of nodes at a time, 24 bytes per node, whatever the grid:
+        the full-array version held 24 bytes per grid node."""
+        for grid in (50000, 1000000):
+            tracemalloc.start()
+            try:
+                fourier_witness_check(grid_size=grid)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 24 * lhv._WITNESS_BLOCK, grid
+
+    @pytest.mark.parametrize("grid", [
+        lhv._WITNESS_BLOCK - 1, lhv._WITNESS_BLOCK, lhv._WITNESS_BLOCK + 1,
+        2 * lhv._WITNESS_BLOCK + 1, 50000, 1000000])
+    def test_same_bits_as_full_array(self, grid):
+        assert witness_fields(fourier_witness_check(grid)) == witness_fields(
+            full_array_witness(grid))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(100, 300000))
+    def test_same_bits_as_full_array_property(self, grid):
+        assert witness_fields(fourier_witness_check(grid)) == witness_fields(
+            full_array_witness(grid))
 
     def test_contradiction_requires_all_conditions(self):
         report = FourierWitnessReport(

@@ -78,6 +78,12 @@ PINNED = [
      "c05476905a87c4cf6b667e38568ff1b29e4143d9961d0384210208ea72f47176"),
     (("witness", "--format", "table"),
      "a93df36f1088ce0798e70209e5cbcaacfbc9a32375248a1085fdc1921223fb10"),
+    # The witness sums one block of 4096 nodes at a time: 10**6 nodes take
+    # hundreds of blocks, and 16385 = 4 * 4096 + 1 nodes end one node past a block.
+    (("witness", "--grid", "1000000", "--format", "json"),
+     "0fa2ef47215e2c5de7a76bbe82ad77508695e347acd8a49a9d0207bc42dd4fa4"),
+    (("witness", "--grid", "16385", "--format", "table"),
+     "6372f29e47e47519082840f4766803a117599fdc90991488956c6aab1df6e86c"),
     (("sample", "--n", "20000", "--format", "csv"),
      "f57ffbc3b317bff739b6a726469135c02873c83924f631174d53c091201fb452"),
     (("sample", "--n", "20000", "--format", "json"),
