@@ -243,7 +243,7 @@ def _reply_search(target: np.ndarray) -> ProductFit:
     v = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     grid = np.concatenate((_best_response(target, v), v), axis=-1)
     coarse = _product_residual(grid, target)
-    starts = np.argpartition(coarse, 4)[:5]
+    starts = np.argsort(coarse, kind="stable")[:5]
     params, values = grid[starts], coarse[starts]
 
     while True:
@@ -302,19 +302,18 @@ class FourierWitnessReport:
 
 
 #: Most quadrature nodes `fourier_witness_check` builds at once.
-_WITNESS_BLOCK = 4096
+_WITNESS_BLOCK = 2048
 
 
-def _pairwise_tree(leaf: Callable[[int, int], np.ndarray | np.float64], start: int,
-                   stop: int, width: int) -> np.ndarray | np.float64:
+def _pairwise_tree(leaf: Callable[[int, int], np.ndarray], start: int, stop: int) -> np.ndarray:
     """``leaf(s, e)`` summed over [start, stop), split as numpy's pairwise sum
-    splits n = ``width * (stop - start)`` scalars: at n // 2 less its
-    remainder mod 8, until a range fits in one `_WITNESS_BLOCK`."""
+    splits n = ``stop - start`` real scalars: at n // 2 less its remainder
+    mod 8, until a range fits in one `_WITNESS_BLOCK`."""
     if stop - start <= _WITNESS_BLOCK:
         return leaf(start, stop)
-    half = (stop - start) * width // 2
-    mid = start + (half - half % 8) // width
-    return _pairwise_tree(leaf, start, mid, width) + _pairwise_tree(leaf, mid, stop, width)
+    half = (stop - start) // 2
+    mid = start + half - half % 8
+    return _pairwise_tree(leaf, start, mid) + _pairwise_tree(leaf, mid, stop)
 
 
 def fourier_witness_check(grid_size: int = 10000) -> FourierWitnessReport:
@@ -322,43 +321,46 @@ def fourier_witness_check(grid_size: int = 10000) -> FourierWitnessReport:
 
     ``grid_size`` is the number of midpoint nodes (at least 100).  The
     coefficient function is c(lambda) = sqrt(pi/2) * exp(2*pi*i*lambda).
+    With c = re + i im, the integrals are `np.sum`s of the real arrays re, im,
+    re im, re^2 - im^2 and re^2 + im^2, built from one complex `np.exp` per
+    node by elementwise ops: every kernel numpy picks gives them the same bits.
     """
     grid_size = _integer("grid_size", grid_size)
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
 
-    def nodes(start: int, stop: int) -> np.ndarray:
-        lam = np.arange(start, stop, dtype=float)
-        lam += 0.5
-        lam /= grid_size
-        c = np.zeros(stop - start, dtype=complex)
-        np.multiply(lam, 2.0 * math.pi, out=c.imag)
-        np.exp(c, out=c)
-        c *= math.sqrt(math.pi / 2.0)
-        return c
-
-    def moments(start: int, stop: int) -> np.ndarray:
-        c = nodes(start, stop)
-        return np.array([np.sum(c), np.sum(np.square(c, out=c))])
-
     peak = 0.0
 
-    def power_sum(start: int, stop: int) -> np.float64:
+    def sums(start: int, stop: int) -> np.ndarray:
         nonlocal peak
-        abs_c = np.abs(nodes(start, stop))
-        peak = max(peak, np.max(abs_c))
-        return np.sum(np.square(abs_c, out=abs_c))
+        scratch = np.arange(start, stop, dtype=float)
+        scratch += 0.5
+        scratch /= grid_size
+        c = np.zeros(stop - start, dtype=complex)
+        parts, re, im = c.view(float), c.real, c.imag  # views of c
+        np.multiply(scratch, 2.0 * math.pi, out=im)
+        np.exp(c, out=c)
+        parts *= math.sqrt(math.pi / 2.0)
+        out = np.empty(5)  # re, im, re im, re^2 - im^2, re^2 + im^2, each summed
+        out[0], out[1] = np.sum(re), np.sum(im)
+        out[2] = np.sum(np.multiply(re, im, out=scratch))
+        parts *= parts  # re and im now hold re^2 and im^2
+        out[3] = np.sum(np.subtract(re, im, out=scratch))
+        out[4] = np.sum(np.add(re, im, out=scratch))
+        peak = max(peak, np.max(scratch))
+        return out
 
     # Each leaf is a range that `np.sum` over all grid nodes at once would
     # also sum on its own, so the block sums keep that sum's bits.
     w = 1.0 / grid_size
-    total, total_sq = _pairwise_tree(moments, 0, grid_size, 2)  # a complex node is 2 scalars
-    power = float(_pairwise_tree(power_sum, 0, grid_size, 1) * w)
-    first = abs(complex(total * w))
-    second = abs(complex(total_sq * w))
-    # Doubling and dividing by a positive number round monotonically, so
-    # they can follow the maximum.
-    amplitude = float(2.0 * peak / math.sqrt(math.pi))
+    total_re, total_im, total_re_im, total_diff, total_power = _pairwise_tree(
+        sums, 0, grid_size).tolist()
+    first = abs(complex(total_re * w, total_im * w))
+    second = abs(complex(total_diff * w, 2.0 * total_re_im * w))
+    power = total_power * w
+    # Square roots, doubling and dividing by a positive number round
+    # monotonically, so they can follow the maximum.
+    amplitude = 2.0 * math.sqrt(peak) / math.sqrt(math.pi)
     return FourierWitnessReport(
         first_moment_abs=first,
         second_moment_abs=second,
@@ -448,18 +450,15 @@ def _predicted_table(rho: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarra
     """Predicted conditional probabilities, shape (..., 4 rows, 2, 2) = (..., row, i, j).
 
     A ``rho`` of shape (..., 1, size), or ``p`` and ``q`` of shape
-    (..., 2, size), gives one table per leading index.
+    (..., 2, size), gives one table per leading index.  Each cell sums
+    elementwise products over the points: no matmul, so no BLAS kernel sets its bits.
     """
-    pr = p * rho
-    mr = (1.0 - p) * rho
-    qt = np.swapaxes(q, -1, -2)
-    nt = 1.0 - qt
-    pred = np.empty(pr.shape[:-2] + (4, 2, 2))
-    pred[..., 0, :, :] = pr @ nt  # (+1, +1): X answers +1, Y does not answer -1
-    pred[..., 1, :, :] = mr @ nt  # (-1, +1)
-    pred[..., 2, :, :] = pr @ qt  # (+1, -1)
-    pred[..., 3, :, :] = mr @ qt  # (-1, -1)
-    return pred
+    x = np.concatenate((p * rho, (1.0 - p) * rho), axis=-2)  # (..., x i, size)
+    y = np.concatenate((1.0 - q, q), axis=-2)  # (..., y j, size): Y answers +1, -1
+    size = x.shape[-1]
+    cells = (x.reshape(x.shape[:-2] + (1, 2, 2, 1, size))
+             * y.reshape(y.shape[:-2] + (2, 1, 1, 2, size))).sum(axis=-1)  # (..., y, x, i, j)
+    return cells.reshape(cells.shape[:-4] + (4, 2, 2))
 
 
 def lhv_predicted_probs(model: LHVModel, i: int, j: int) -> dict[tuple[int, int], float]:
@@ -639,12 +638,13 @@ def _local_optimum(target: np.ndarray) -> tuple[np.ndarray, float]:
 def _strategy_weights(model: np.ndarray) -> np.ndarray:
     """Weight sum over lambda of rho * P(answers of strategy k | lambda), shape (16,)."""
     answers = np.where(_STRATEGIES[:, :, None] == 1.0, model[:4, None], 1.0 - model[:4, None])
-    return (answers[:2].prod(axis=0) * answers[2:].prod(axis=0)) @ model[4]
+    return (answers[:2].prod(axis=0) * answers[2:].prod(axis=0) * model[4]).sum(axis=-1)
 
 
 def _heaviest(size: int, model: np.ndarray) -> np.ndarray:
-    """Search start from the ``size`` heaviest points of ``model``, renormalized."""
-    kept = model[:, np.argsort(model[4])[::-1][:size]]
+    """Search start from the ``size`` heaviest points of ``model``, renormalized.
+    Of equal weights the later column comes first; a stable sort keeps that on any CPU."""
+    kept = model[:, np.argsort(model[4], kind="stable")[::-1][:size]]
     kept[4] /= float(kept[4].sum())
     return _place(size, kept)
 
@@ -702,8 +702,8 @@ def m_separability_search(
         strategies = np.vstack((_STRATEGIES, _strategy_weights(optimum)))
         best = np.full((5, 1), 0.5)  # the fair coin: the best one-point model
         for size in [grid_size >> k for k in range(grid_size.bit_length() - 1)][::-1]:
-            # each level starts from the previous best normalized once more (the
-            # coin's weight becomes 1); the pinned results depend on that rounding
+            # the previous level's best, normalized (the coin's weight becomes 1)
+            # so that its zero-weight padding at this level is exact
             best[4] = _weights(best[4])
             starts = [
                 _place(size, best),
@@ -716,8 +716,6 @@ def m_separability_search(
 
             # the first start reaching the lowest value wins
             best, _ = min((_pattern_search(t, target) for t in starts), key=lambda r: r[1])
-            # normalize the weight row so zero-padding at the next level is exact
-            best[4] = _weights(best[4])
 
     p, q, rho = best[:2], best[2:4], _weights(best[4])
     model = LHVModel(lambda_grid=(np.arange(grid_size) + 0.5) / grid_size, rho=rho,

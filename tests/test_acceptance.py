@@ -218,9 +218,11 @@ def test_criterion_08_product_fit_residuals_with_exhaustive_oracle():
     product_fit = factorizability_fit(_product_measure((0.3, 0.6), (0.2, 0.9)))
     assert product_fit.residual <= 1e-10
 
-    start = time.perf_counter()
+    # CPU time of this process, so another process's load on the host cannot
+    # spend the budget
+    start = time.process_time()
     oracle = _exhaustive_product_residual(target)
-    oracle_elapsed = time.perf_counter() - start
+    oracle_elapsed = time.process_time() - start
     assert oracle_elapsed < 10.0
     assert oracle > 0.01
     # the fit refines off-grid, so it may only improve on the grid optimum

@@ -73,17 +73,17 @@ PINNED = [
      "c4c96060ed87e619a5289181f8cd7c74f23c1178d661ded0f60aeae85989e0ce"),
     (("lhv-fit", "--angles=0.4,2.9,1.1,0.25", "--grid", "3", "--restarts", "1", "--seed", "5",
       "--format", "json"),
-     "f9eea3e6ee2d9e21385160e185320cf35dcf50862ef0a6246d572163595c9e9e"),
+     "147c37d4989ebaa016e56345fa7829508f05f28c449290e160c29d05620df0a3"),
     (("witness", "--format", "json"),
-     "c05476905a87c4cf6b667e38568ff1b29e4143d9961d0384210208ea72f47176"),
+     "aa129a031b217d95d04dd2d7e4754b8e3d2c5fb956ca87bf54c024d96bec7895"),
     (("witness", "--format", "table"),
-     "a93df36f1088ce0798e70209e5cbcaacfbc9a32375248a1085fdc1921223fb10"),
-    # The witness sums one block of 4096 nodes at a time: 10**6 nodes take
-    # hundreds of blocks, and 16385 = 4 * 4096 + 1 nodes end one node past a block.
+     "a0f6c9bdbf54e88069448186fe8c3381676daa518703b44bf25bc482ad23f046"),
+    # The witness sums one block of 2048 nodes at a time: 10**6 nodes take
+    # hundreds of blocks, and 16385 = 8 * 2048 + 1 nodes end one node past a block.
     (("witness", "--grid", "1000000", "--format", "json"),
-     "0fa2ef47215e2c5de7a76bbe82ad77508695e347acd8a49a9d0207bc42dd4fa4"),
+     "89b73b8053f225d934a3e70057a5ee2aadb9dbb42060e9e4fb7a6dd84eac620c"),
     (("witness", "--grid", "16385", "--format", "table"),
-     "6372f29e47e47519082840f4766803a117599fdc90991488956c6aab1df6e86c"),
+     "290c2e371f1d03e0d50f13eaa8e282e6602755f00b94449dd2b4ad1faa11305b"),
     (("sample", "--n", "20000", "--format", "csv"),
      "f57ffbc3b317bff739b6a726469135c02873c83924f631174d53c091201fb452"),
     (("sample", "--n", "20000", "--format", "json"),
