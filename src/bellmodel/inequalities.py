@@ -24,7 +24,6 @@ x * y * p over column (i, j), a conditional term divides that by the column's ma
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .probspace import (
     COLUMN_ORDER,
@@ -35,7 +34,7 @@ from .probspace import (
     ZeroProbabilityError,
     chsh_measure,
 )
-from .singlet import _ATOL, DetectorAngle
+from .singlet import _ATOL, DetectorAngle, _Record
 
 __all__ = [
     "BELL_TEST_ANGLES",
@@ -74,8 +73,7 @@ def chsh_combination(terms: tuple[float, float, float, float]) -> float:
     return abs(t00 + t10 + t11 - t01)
 
 
-@dataclass(frozen=True)
-class ChshReport:
+class ChshReport(_Record):
     """CHSH evaluation: one term per setting-pair column; combination and verdict derived."""
 
     term_values: tuple[float, float, float, float]
@@ -144,8 +142,7 @@ def realism_table_check() -> list[int]:
     return [x0 * y0 + x1 * y0 + x1 * y1 - x0 * y1 for x0, x1, y0, y1 in STRATEGY_ANSWERS.tolist()]
 
 
-@dataclass(frozen=True)
-class BellReport:
+class BellReport(_Record):
     """Original-Bell sides ``lhs`` = |T00 - T01| and ``rhs`` = 1 + T11 on partial
     expectations of -XY; the verdict ``satisfied`` (lhs <= rhs) is derived."""
 

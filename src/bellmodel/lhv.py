@@ -26,7 +26,6 @@ import json
 import math
 import numbers
 from collections.abc import Callable, Mapping
-from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 # `linprog` is not called here: the local optimum has a closed form.  It stays
@@ -39,7 +38,7 @@ from .probspace import (
 )
 # `conditional_joint_probs` is not called here, `chsh_measure` is.  It stays
 # importable as bellmodel.lhv.conditional_joint_probs, a name only bench/layers.py looks up.
-from .singlet import _ATOL, DetectorAngle, conditional_joint_probs  # noqa: F401
+from .singlet import _ATOL, DetectorAngle, _Record, conditional_joint_probs  # noqa: F401
 
 __all__ = [
     "FourierWitnessReport",
@@ -61,8 +60,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class NoSignalingReport:
+class NoSignalingReport(_Record, eq=False):
     """Single-detector marginals and their spread across the other detector's setting.
 
     Keys of ``joint_marginals`` and ``conditional_marginals`` are
@@ -152,8 +150,7 @@ def no_signaling_report(measure: JointMeasure) -> NoSignalingReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductFit:
+class ProductFit(_Record):
     """Best product-form table: independent +1-probabilities per orientation.
 
     The fitted table has cells p(x, y, i, j) = (1/4) * Bern(x; u_i) *
@@ -171,7 +168,7 @@ class ProductFit:
         return (self.p_plus_a0, self.p_plus_a1, self.p_plus_b0, self.p_plus_b1)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values()))
 
 
 def _product_residual(params: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -265,8 +262,7 @@ def _reply_search(target: np.ndarray) -> ProductFit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FourierWitnessReport:
+class FourierWitnessReport(_Record):
     """Quadrature check that an exact hidden-variable response cannot exist.
 
     A response probability reproducing the singlet statistics exactly would
@@ -298,7 +294,7 @@ class FourierWitnessReport:
         )
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "contradiction": self.contradiction}
+        return dict(zip(self._fields, self._values()), contradiction=self.contradiction)
 
 
 #: Most quadrature nodes `fourier_witness_check` builds at once.
@@ -375,8 +371,7 @@ def fourier_witness_check(grid_size: int = 10000) -> FourierWitnessReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class LHVModel:
+class LHVModel(_Record, eq=False):
     """Local hidden-variable model on a finite latent grid.
 
     ``rho`` is the distribution over latent values; ``p_response[i, k]`` is
@@ -391,14 +386,14 @@ class LHVModel:
 
     def __post_init__(self) -> None:
         # real numbers and booleans only, checked first: numpy alone parses "0.5" as 0.5
-        for field in fields(self):
-            arr = np.asarray(getattr(self, field.name))
+        for name in self._fields:
+            arr = np.asarray(getattr(self, name))
             if arr.dtype.kind not in "biuf":
                 for v in arr.flat:
                     if not isinstance(v, numbers.Real):
                         raise ValueError(
-                            f"model document fields must hold numbers: {field.name} holds {v!r}")
-            object.__setattr__(self, field.name, np.asarray(arr, dtype=float))
+                            f"model document fields must hold numbers: {name} holds {v!r}")
+            object.__setattr__(self, name, np.asarray(arr, dtype=float))
         grid, rho, p, q = self.lambda_grid, self.rho, self.p_response, self.q_response
         n = grid.shape[0] if grid.ndim == 1 else -1
         if grid.ndim != 1 or n < 1:
@@ -434,7 +429,7 @@ class LHVModel:
     def from_dict(cls, doc: Mapping) -> "LHVModel":
         if not isinstance(doc, Mapping):
             raise ValueError(f"a model document must be a mapping, got {type(doc).__name__}")
-        names = [field.name for field in fields(cls)]
+        names = cls._fields
         _known_keys(doc, names, f"model document keys must be {', '.join(names)}")
         missing = [name for name in names if name not in doc]
         if missing:
@@ -476,8 +471,7 @@ def lhv_correlation(model: LHVModel, i: int, j: int) -> float:
     return float(np.sum(model.rho * (2.0 * p - 1.0) * (1.0 - 2.0 * q)))
 
 
-@dataclass(frozen=True, eq=False)
-class SeparabilityResult:
+class SeparabilityResult(_Record, eq=False):
     """Outcome of the m-separability search.
 
     ``m_hat`` (derived) is the largest absolute deviation between the model's

@@ -30,14 +30,15 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .probspace import (
-    CELL_INDEX, OUTCOME_ORDER, ROW_ORDER, ChshOutcome, JointMeasure, _integer, _seed, _setting_pair
+    CELL_INDEX, OUTCOME_ORDER, ROW_ORDER, ChshOutcome, JointMeasure, _cell, _integer, _seed,
+    _setting_pair,
 )
+from .singlet import _Record
 
 __all__ = [
     "CHUNK",
@@ -147,8 +148,7 @@ def _check_cells(cells: object) -> np.ndarray:
     return cells.astype(np.uint8, copy=False)
 
 
-@dataclass(frozen=True, eq=False)
-class TrialSeries:
+class TrialSeries(_Record, eq=False):
     """Ordered outcomes of a simulated experiment plus its provenance.
 
     ``cells`` holds each trial's position in `OUTCOME_ORDER` as ``uint8``
@@ -237,8 +237,7 @@ def decode_binary(blob: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return tuple(_COLUMNS[:, cells])
 
 
-@dataclass(frozen=True, eq=False)
-class _Draw:
+class _Draw(_Record, eq=False):
     """``n`` trials of a run keyed by ``seed``, drawn by comparing uniforms
     with the nondecreasing cumulative ``thresholds``: a trial's cell is the
     number of thresholds at or below its uniform."""
@@ -317,8 +316,7 @@ def sample(measure: JointMeasure, n: int, seed: int) -> TrialSeries:
     return TrialSeries(cells=cells, seed=seed, measure_digest=measure.digest())
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalMeasure:
+class EmpiricalMeasure(_Record, eq=False):
     """Cell counts of a trial series in canonical cell order; ``n`` and frequencies derived."""
 
     counts: np.ndarray
@@ -347,7 +345,7 @@ class EmpiricalMeasure:
         return self.counts / float(self.n)  # a float divisor: n may exceed int64
 
     def count(self, x: int, y: int, i: int, j: int) -> int:
-        return int(self.counts[OUTCOME_ORDER.index(ChshOutcome(x=x, y=y, i=i, j=j))])
+        return int(self.counts[_cell(x, y, i, j)])
 
 
 def empirical_measure(trials: TrialSeries | Iterable[np.ndarray]) -> EmpiricalMeasure:

@@ -26,13 +26,12 @@ import json
 import math
 import numbers
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Any
 
 import numpy as np
 
-from .singlet import _ATOL, DetectorAngle, conditional_joint_probs
+from .singlet import _ATOL, DetectorAngle, _Record, conditional_joint_probs
 
 __all__ = [
     "CELL_INDEX",
@@ -165,8 +164,7 @@ class Event:
         return Event(lambda w: not self(w))
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteProbabilitySpace:
+class FiniteProbabilitySpace(_Record, eq=False):
     """Finitely many distinct outcomes with nonnegative weights summing to 1.
 
     Weights are taken exactly as given; nothing is silently renormalized.
@@ -246,8 +244,7 @@ def dice_space() -> FiniteProbabilitySpace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SettingsDistribution:
+class SettingsDistribution(_Record):
     """Distribution over the four setting pairs; p_ij = P[A uses a_i, B uses b_j].
 
     Each p_ij is stored as a float, and -0.0 as 0.0: equal settings have one digest.
@@ -283,14 +280,13 @@ class SettingsDistribution:
         return getattr(self, f"p{i}{j}")
 
     def items(self) -> tuple[tuple[str, float], ...]:
-        return tuple((f.name, getattr(self, f.name)) for f in fields(self))
+        return tuple(zip(self._fields, self._values()))
 
     def is_uniform(self) -> bool:
         return all(abs(p - 0.25) <= _ATOL for _name, p in self.items())
 
 
-@dataclass(frozen=True)
-class ChshOutcome:
+class ChshOutcome(_Record):
     """One experimental run: outcomes x, y in {-1, +1}, setting indices i, j in {0, 1}."""
 
     x: int
@@ -325,15 +321,20 @@ OUTCOME_ORDER: tuple[ChshOutcome, ...] = tuple(
 
 #: Canonical flat index of every point in (row, i, j) layout, shape (4, 2, 2):
 #: ``CELL_INDEX[row, i, j]`` is the position in `OUTCOME_ORDER` of outcome
-#: pair ``ROW_ORDER[row]`` at setting pair (i, j).
+#: pair ``ROW_ORDER[row]`` at setting pair (i, j): 4 points per column, in row order.
 CELL_INDEX: np.ndarray = np.array(
-    [
-        [[OUTCOME_ORDER.index(ChshOutcome(x=x, y=y, i=i, j=j)) for j in (0, 1)] for i in (0, 1)]
-        for (x, y) in ROW_ORDER
-    ],
+    [[[4 * COLUMN_ORDER.index((i, j)) + row for j in (0, 1)] for i in (0, 1)] for row in range(4)],
     dtype=np.intp,
 )
 CELL_INDEX.flags.writeable = False
+
+
+def _cell(x: int, y: int, i: int, j: int) -> int:
+    """Position of outcome (x, y, i, j) in `OUTCOME_ORDER`; invalid values
+    raise ChshOutcome's ValueError."""
+    ChshOutcome(x=x, y=y, i=i, j=j)
+    return int(CELL_INDEX[ROW_ORDER.index((x, y)), i, j])
+
 
 #: Names of the four detector orientations, in the order of a measure's angles.
 _ANGLE_NAMES = ("a0", "a1", "b0", "b1")
@@ -365,8 +366,7 @@ def _settings_distribution(settings: object) -> None:
         raise ValueError(f"settings must be a SettingsDistribution, got {type(settings).__name__}")
 
 
-@dataclass(frozen=True, eq=False)
-class JointMeasure:
+class JointMeasure(_Record, eq=False):
     """Distribution over the 16 points (x, y, i, j) of the four-setting experiment.
 
     ``probs`` holds the 16 weights in `OUTCOME_ORDER`, and the mass of each
@@ -430,7 +430,7 @@ class JointMeasure:
         return table
 
     def probability(self, x: int, y: int, i: int, j: int) -> float:
-        return float(self.probs[OUTCOME_ORDER.index(ChshOutcome(x=x, y=y, i=i, j=j))])
+        return float(self.probs[_cell(x, y, i, j)])
 
     def column(self, i: int, j: int) -> dict[tuple[int, int], float]:
         """Joint weights p(x, y, i, j) of one setting-pair column."""

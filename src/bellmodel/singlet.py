@@ -28,7 +28,7 @@ state in the product eigenbasis of the two detector operators
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -48,6 +48,63 @@ __all__ = [
 _ATOL = 1e-12
 
 
+class _Record:
+    """Base of the package's immutable records, built without compiling code.
+
+    A subclass's fields are its own annotated names, in order (``_fields``;
+    ``_values()`` gives their values); unannotated class attributes are not
+    fields.  The constructor takes every field,
+    by position or keyword, then calls ``__post_init__``, which may replace
+    a value with ``object.__setattr__``.  Setting or deleting an attribute
+    afterwards raises ``dataclasses.FrozenInstanceError``.  The repr is
+    ``Name(field=value!r, ...)``, and records compare and hash by their
+    field tuples, as frozen dataclasses do; a ``class X(_Record, eq=False)``
+    compares and hashes by identity instead.
+    """
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        names = cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+        get = attrgetter(*names)  # one field's value, or a tuple of two or more
+        cls._values = (lambda self: (get(self),)) if len(names) == 1 else (lambda self: get(self))
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        try:  # the fields after the positional arguments, by name
+            args += tuple(map(kwargs.pop, names[len(args):])) if kwargs else ()
+        except KeyError:
+            args = ()
+        if kwargs or len(args) != len(names):  # missing, repeated, unknown or too many
+            raise TypeError(f"{type(self).__name__}() takes each of {', '.join(names)} once, "
+                            "by position or keyword")
+        self.__dict__.update(zip(names, args))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        from dataclasses import FrozenInstanceError  # on use: numpy alone does not load it
+
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
 def _canonical_radians(value: float) -> float:
     """Reduce an orientation to [0, pi); a and a + k*pi are the same detector."""
     v = math.fmod(float(value), math.pi) + 0.0  # + 0.0: -0.0 is stored as 0.0
@@ -58,8 +115,7 @@ def _canonical_radians(value: float) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class DetectorAngle:
+class DetectorAngle(_Record):
     """Detector orientation in radians, canonicalized to [0, pi); -0 and -k*pi become +0."""
 
     radians: float
@@ -82,8 +138,7 @@ TSIRELSON_ANGLES: tuple[DetectorAngle, DetectorAngle, DetectorAngle, DetectorAng
 )
 
 
-@dataclass(frozen=True, eq=False)
-class DetectorOperator:
+class DetectorOperator(_Record, eq=False):
     """Spin observable for one detector: eigenvalues +1 and -1."""
 
     angle: DetectorAngle
@@ -113,8 +168,7 @@ def detector_operator(angle: DetectorAngle) -> DetectorOperator:
     return DetectorOperator(angle=angle, matrix=matrix, plus_eigenvector=plus, minus_eigenvector=minus)
 
 
-@dataclass(frozen=True, eq=False)
-class SingletState:
+class SingletState(_Record, eq=False):
     """Unit vector in C^2 (x) C^2, antisymmetric under swapping the factors.
 
     ``amplitudes`` is indexed by the product basis (e00, e01, e10, e11).
@@ -141,8 +195,7 @@ def singlet_state() -> SingletState:
     return SingletState(amplitudes=np.array([0.0, s, -s, 0.0]))
 
 
-@dataclass(frozen=True)
-class SpectralCoefficients:
+class SpectralCoefficients(_Record):
     """Expansion of the singlet in the product eigenbasis of F(a) (x) F(b).
 
     ``psi[(x, y)]`` is the coefficient on the eigenvector with joint outcome

@@ -782,6 +782,23 @@ class TestExactPath:
         assert m_separability_search(angles, **kwargs).m_hat == m_hat
         assert searches
 
+    def test_random_start_win_pinned(self, monkeypatch):
+        """A seeded random start wins a search level.  Grid 2 is one level of
+        5 structured starts and ``restarts`` random ones; at seed 2 the second
+        random start, start 6, reaches the lowest value."""
+        values = []
+        search = lhv._pattern_search
+
+        def recording(*args, **kw):
+            theta, value = search(*args, **kw)
+            values.append(value)
+            return theta, value
+
+        monkeypatch.setattr(lhv, "_pattern_search", recording)
+        result = m_separability_search(SKEWED3_ANGLES, grid_size=2, restarts=2, seed=2)
+        assert result.m_hat == 0.13531695007834538
+        assert len(values) == 7 and values.index(min(values)) == 6
+
     def test_search_path_output_pinned(self):
         """Every field of a searched result (model, deviations and bound) stays
         bit for bit: one SHA-256 over each result's JSON at the grids below the

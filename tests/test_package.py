@@ -1,5 +1,6 @@
 """The package namespace is the union of its modules' public names, and
-importing it runs no garbage collection and leaves the collector as it was."""
+importing it runs no garbage collection, leaves the collector as it was and
+compiles no source."""
 
 import subprocess
 import sys
@@ -72,4 +73,19 @@ def test_import_runs_no_collection():
         "gc.callbacks.append(lambda phase, info: phases.append(phase))\n"
         "import bellmodel\n"
         "print(phases.count('start'))"
+    ) == ["0"]
+
+
+def test_import_compiles_no_source():
+    """The record types share methods written once, none generated: once
+    numpy and ``scipy.optimize`` are loaded, importing the package and its
+    CLI compiles no source string."""
+    assert _fresh(
+        "import sys\n"
+        "import numpy, scipy.optimize\n"
+        "compiled = []\n"
+        "sys.addaudithook(lambda event, args: compiled.append(args[1])"
+        " if event == 'compile' else None)\n"
+        "import bellmodel, bellmodel.cli\n"
+        "print(compiled.count('<string>'))"
     ) == ["0"]
