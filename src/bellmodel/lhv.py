@@ -11,9 +11,9 @@ Four related questions about the measured probability table:
   function bounded in [0, 1] can reproduce the singlet correlation exactly;
   the required first-harmonic amplitude works out to sqrt 2 > 1.
 * `m_separability_search`: the finite hidden-variable model whose
-  predictions stay within m of the table, minimizing m: in closed form on a
-  grid of at least its (at most 5) latent points and on one point (the fair
-  coin), by compass search in between.
+  predictions stay within m of the table, minimizing m: in closed form on
+  any grid that holds its latent points (at most 4, so on every grid of 4
+  or more) and on one point (the fair coin), by compass search in between.
 
 The hidden-variable models here (`LHVModel`) are local: a latent value
 lambda is drawn from a finite distribution, then each detector answers
@@ -606,8 +606,8 @@ def _local_optimum(target: np.ndarray) -> tuple[np.ndarray, float]:
     one latent point, with B answering (+1, (-1)^b) and A's mean answer
     sum_a c_ab H2[a] / w_b, realizes weight w_b = sum_a |c_ab|; it and its
     mirror image (every answer flipped) carry w_b / 2 each, so every
-    marginal stays 1/2.  A point answering 1/2 everywhere takes the weight
-    left over.  That is at most 5 points (4 when S > 2), m from the target.
+    marginal stays 1/2.  A point answering 1/2 everywhere, the fair coin, takes
+    the weight left over: at most 5 points (4 when S > 2 or after `_fold`), m from the target.
     The model is a (5, k) array of rows p0, p1, q0, q1 and weights, as in `_place`.
     """
     e = target[0] - target[1] - target[2] + target[3]
@@ -627,6 +627,14 @@ def _local_optimum(target: np.ndarray) -> tuple[np.ndarray, float]:
         model = np.pad(model, ((0, 0), (0, 1)), constant_values=0.5)
         model[4, -1] = rest
     return model, m
+
+
+def _fold(model: np.ndarray) -> np.ndarray:
+    """`_local_optimum`'s ``model`` less its last point, the fair coin: with W the other
+    points' weight, B answers (1 -+ W H2[b]) / 2 and each point carries w_b / (2W)."""
+    pairs = model[:, :-1]
+    total = float(pairs[4].sum())
+    return np.vstack((pairs[:2], 0.5 + (pairs[2:4] - 0.5) * total, pairs[4:] / total))
 
 
 def _strategy_weights(model: np.ndarray) -> np.ndarray:
@@ -658,9 +666,9 @@ def m_separability_search(
     the best local model in closed form, on at most 5 latent points (4 when
     the table violates a CHSH inequality), and its worst deviation m.
 
-    * Exact path: when ``grid_size`` is at least the model's size, that
-      model is returned, padded with points of weight 0.  ``restarts`` and
-      ``seed`` are then ignored.
+    * Exact path: when ``grid_size`` is at least the model's size, or one short
+      and the fair coin is folded in (`_fold`; so on every grid >= 4), that model is
+      returned, padded with points of weight 0.  ``restarts`` and ``seed`` are ignored.
     * One latent point: the fair coin (every response 1/2); no search runs
       and ``restarts`` and ``seed`` are ignored.  With a, b the point's mean
       answers (a_i = 2p_i - 1, b_j = 1 - 2q_j), a cell's deviation is
@@ -668,15 +676,10 @@ def m_separability_search(
       (x, y) and (-x, -y) is at least (|a_i| + |b_j| + |a_i b_j - E_ij|) / 4
       >= |E_ij| / 4, because |a| + |b| - |a||b| >= 0; the fair coin reaches
       |E_ij| / 4 in every cell.
-    * Search path: between those sizes the problem is non-convex.  A
-      coarse-to-fine cascade over latent grid sizes (``grid_size`` halved
-      with floor division down to 2, searched from the smallest up: 3 gives
-      3, 4 gives 2, 4) starts from the fair coin and runs compass search at
-      each level from the previous level's best embedded with zero-weight
-      padding, the model's heaviest points, its heaviest deterministic
-      strategies, two structured two-point starts and ``restarts`` seeded
-      random starts, so no level gives a worse ``m_hat`` than the level
-      below it.
+    * Search path: on 2 or 3 points, below the folded model's size, the
+      problem is non-convex.  Compass search runs from the fair coin, the
+      unfolded model's heaviest points, its heaviest deterministic strategies,
+      two structured two-point starts and ``restarts`` seeded random starts.
 
     The result's ``lower_bound`` is m, a certificate that no local model on
     any grid does better; ``gap`` is how far ``m_hat`` sits above it (within
@@ -690,26 +693,23 @@ def m_separability_search(
         raise ValueError("restarts must be nonnegative")
     target = chsh_measure(angles).table * 4.0
     optimum, lower_bound = _local_optimum(target)
+    best = np.array([[0.5]] * 4 + [[1.0]])  # the fair coin: the best one-point model
     if grid_size >= optimum.shape[1]:
         best = _place(grid_size, optimum)
-    else:
+    elif grid_size == optimum.shape[1] - 1 and grid_size % 2 == 0:  # an odd size has the coin
+        best = _place(grid_size, _fold(optimum))
+    elif grid_size > 1:
         strategies = np.vstack((_STRATEGIES, _strategy_weights(optimum)))
-        best = np.full((5, 1), 0.5)  # the fair coin: the best one-point model
-        for size in [grid_size >> k for k in range(grid_size.bit_length() - 1)][::-1]:
-            # the previous level's best, normalized (the coin's weight becomes 1)
-            # so that its zero-weight padding at this level is exact
-            best[4] = _weights(best[4])
-            starts = [
-                _place(size, best),
-                _heaviest(size, optimum),
-                _heaviest(size, strategies),
-                *(_two_point_start(size, target, i) for i in (0, 1)),
-                *(np.random.default_rng(np.random.SeedSequence((seed, size, k))).random((5, size))
-                  for k in range(restarts)),
-            ]
-
-            # the first start reaching the lowest value wins
-            best, _ = min((_pattern_search(t, target) for t in starts), key=lambda r: r[1])
+        starts = [
+            _place(grid_size, best),
+            _heaviest(grid_size, optimum),
+            _heaviest(grid_size, strategies),
+            *(_two_point_start(grid_size, target, i) for i in (0, 1)),
+            *(np.random.default_rng(np.random.SeedSequence((seed, grid_size, k))).random(
+                (5, grid_size)) for k in range(restarts)),
+        ]
+        # the first start reaching the lowest value wins
+        best, _ = min((_pattern_search(t, target) for t in starts), key=lambda r: r[1])
 
     p, q, rho = best[:2], best[2:4], _weights(best[4])
     model = LHVModel(lambda_grid=(np.arange(grid_size) + 0.5) / grid_size, rho=rho,

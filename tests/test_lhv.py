@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bellmodel import lhv
@@ -694,9 +694,9 @@ DEGENERATE_ANGLES = tuple(DetectorAngle(a) for a in (1e-6, 0.0, 1.4375, 0.21875)
 LOCAL_ANGLES = tuple(DetectorAngle(a) for a in (2.2, 0.4, 1.7, 2.9))
 
 
-#: The searched results `test_search_path_output_pinned` covers and the
-#: witness at grids 10**4, 16385 and 10**6, under one SHA-256, which the
-#: script prints.  It runs the same in this process and in a child process.
+#: The results `test_search_path_output_pinned` and `test_grid4_output_pinned`
+#: cover and the witness at grids 10**4, 16385 and 10**6, under one SHA-256,
+#: which the script prints.  It runs the same in this process and in a child process.
 KERNEL_BATTERY = f"""
 import hashlib, json
 from bellmodel.lhv import fourier_witness_check, m_separability_search
@@ -799,18 +799,28 @@ class TestExactPath:
         assert result.m_hat == 0.13531695007834538
         assert len(values) == 7 and values.index(min(values)) == 6
 
-    def test_search_path_output_pinned(self):
-        """Every field of a searched result (model, deviations and bound) stays
-        bit for bit: one SHA-256 over each result's JSON at the grids below the
-        model's size."""
+    @staticmethod
+    def output_digest(grids):
+        """One SHA-256 over each result's JSON on the pinned angle sets at ``grids``."""
         digest = hashlib.sha256()
         for angles in (TSIRELSON_ANGLES, SKEWED3_ANGLES, DEGENERATE_ANGLES, LOCAL_ANGLES):
-            for grid in (2, 3, 4):
+            for grid in grids:
                 for restarts, seed in ((0, 0), (2, 3)):
                     result = m_separability_search(angles, grid, restarts, seed)
                     digest.update(json.dumps(result.as_dict()).encode())
-        assert digest.hexdigest() == (
-            "804b38611b0407e36c5652ae904a89af570ecda71fbfaa7a47c1eee1c498ddf6")
+        return digest.hexdigest()
+
+    def test_search_path_output_pinned(self):
+        """Every field of a searched result (model, deviations and bound) stays
+        bit for bit at grids 2 and 3, the only ones below the folded model's size."""
+        assert self.output_digest((2, 3)) == (
+            "9bc91c59b054f836546515a102e2faaa994cf5abf0bd45705d72b4c949893fce")
+
+    def test_grid4_output_pinned(self):
+        """Grid 4 holds every model once its fair coin is folded in: every field
+        of those exact results stays bit for bit."""
+        assert self.output_digest((4,)) == (
+            "9fafe473ef4c19fb6b9a2a92c6946f49be3f4147f0d53dadc2a1f89f937fbe74")
 
     @pytest.mark.parametrize(
         "angles, kwargs, m_hat",
@@ -824,11 +834,16 @@ class TestExactPath:
                          0.0505466601329535, id="skewed-grid4"),
             pytest.param(DEGENERATE_ANGLES, dict(grid_size=8, restarts=0, seed=0),
                          5.551115123125783e-17, id="degenerate-grid8"),
+            # local targets: 5-point models, placed on 4 points with the fair coin folded in
+            pytest.param(LOCAL_ANGLES, dict(grid_size=4, restarts=2, seed=3),
+                         1.1102230246251565e-16, id="local-grid4"),
+            pytest.param(DEGENERATE_ANGLES, dict(grid_size=4, restarts=0, seed=0),
+                         5.551115123125783e-17, id="degenerate-grid4"),
         ],
     )
     def test_exact_path_values_pinned(self, monkeypatch, angles, kwargs, m_hat):
         """At or above the model's size the closed-form model is returned as is,
-        and on one latent point the fair coin."""
+        one short of it the folded model, and on one latent point the fair coin."""
         forbid_search(monkeypatch)
         result = m_separability_search(angles, **kwargs)
         assert result.m_hat == m_hat
@@ -888,6 +903,23 @@ class TestLocalOptimum:
         worst = float(np.max(np.abs(lhv._predicted_table(rho, p, q) - target)))
         assert worst <= m + 1e-15
         assert abs(m - lp_optimum(target)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(angles=st.lists(st.floats(0.0, math.pi), min_size=4, max_size=4))
+    @example(angles=[1e-06, 0.0, 1.4375, 0.21875])
+    def test_fifth_point_folds(self, angles):
+        """A 5-point model (a local target's, its last point the fair coin)
+        folds to a valid 4-point model that is still m from the target."""
+        target = target_of(tuple(DetectorAngle(a) for a in angles))
+        optimum, m = lhv._local_optimum(target)
+        assume(optimum.shape[1] == 5)
+        folded = lhv._fold(optimum)
+        assert folded.shape == (5, 4)
+        p, q, rho = folded[:2], folded[2:4], folded[4]
+        assert abs(float(rho.sum()) - 1.0) <= 1e-15
+        assert np.all((folded[:4] >= 0.0) & (folded[:4] <= 1.0)) and np.all(rho >= 0.0)
+        worst = float(np.max(np.abs(lhv._predicted_table(rho, p, q) - target)))
+        assert worst <= m + 1e-15
 
 
 FAIR_COIN = np.full((2, 1), 0.5)
