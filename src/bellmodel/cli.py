@@ -202,7 +202,7 @@ def _parse_settings(opts: _Options, default: SettingsDistribution) -> SettingsDi
         raise ValueError(
             f"--settings needs 'uniform' or 4 values p00,p01,p10,p11, got {len(values)}"
         )
-    return SettingsDistribution(p00=values[0], p01=values[1], p10=values[2], p11=values[3])
+    return SettingsDistribution(*values)
 
 
 def _format(opts: _Options, default: str, allowed: tuple[str, ...]) -> str:
@@ -214,6 +214,11 @@ def _format(opts: _Options, default: str, allowed: tuple[str, ...]) -> str:
 
 def _angles_doc(angles: Sequence[DetectorAngle], names: Sequence[str] = _ANGLE_NAMES) -> dict:
     return {name: a.radians for name, a in zip(names, angles)}
+
+
+def _text(rows: Iterable[tuple[str, Any]]) -> str:
+    """One ``label: value`` line per row: a float through `sig17`, anything else through str."""
+    return "\n".join(f"{label}: {sig17(v) if isinstance(v, float) else v}" for label, v in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +269,12 @@ def _cmd_chsh(opts: _Options) -> tuple[_Output, int]:
         return {
             "mode": mode,
             "angles": _angles_doc(angles),
-            "settings": dict(settings.items()),
+            "settings": settings.as_dict(),
             **report.as_dict(),
         }, code
-    lines = [f"mode: {mode}"]
-    for label, t in zip(_COLUMN_LABELS, report.term_values):
-        lines.append(f"term {label}: {sig17(t)}")
-    lines.append(f"combined: {sig17(report.combined_value)}")
-    lines.append(f"bound: {sig17(report.bound)}")
-    lines.append(f"satisfied: {report.satisfied}")
-    return "\n".join(lines), code
+    terms = [(f"term {label}", t) for label, t in zip(_COLUMN_LABELS, report.term_values)]
+    return _text([("mode", mode), *terms, ("combined", report.combined_value),
+                  ("bound", report.bound), ("satisfied", report.satisfied)]), code
 
 
 def _cmd_bell(opts: _Options) -> tuple[_Output, int]:
@@ -285,15 +286,10 @@ def _cmd_bell(opts: _Options) -> tuple[_Output, int]:
     if fmt == "json":
         return {
             "angles": _angles_doc(angles, ("a0", "shared", "b1")),
-            "settings": dict(settings.items()),
+            "settings": settings.as_dict(),
             **report.as_dict(),
         }, code
-    lines = [
-        f"lhs: {sig17(report.lhs)}",
-        f"rhs: {sig17(report.rhs)}",
-        f"satisfied: {report.satisfied}",
-    ]
-    return "\n".join(lines), code
+    return _text(report.as_dict().items()), code
 
 
 def _cmd_nosignal(opts: _Options) -> tuple[_Output, int]:
@@ -318,7 +314,7 @@ def _cmd_factorize(opts: _Options) -> tuple[_Output, int]:
     fit = factorizability_fit(chsh_measure(angles, SettingsDistribution.uniform()))
     if fmt == "json":
         return {"angles": _angles_doc(angles), **fit.as_dict()}, 0
-    return "\n".join(f"{name}: {sig17(value)}" for name, value in fit.as_dict().items()), 0
+    return _text(fit.as_dict().items()), 0
 
 
 def _cmd_witness(opts: _Options) -> tuple[_Output, int]:
@@ -327,15 +323,14 @@ def _cmd_witness(opts: _Options) -> tuple[_Output, int]:
     report = fourier_witness_check(grid_size=grid)
     if fmt == "json":
         return report.as_dict(), 0
-    lines = [
-        f"first moment |.|: {sig17(report.first_moment_abs)}",
-        f"second moment |.|: {sig17(report.second_moment_abs)}",
-        f"power: {sig17(report.power)} (target {sig17(math.pi / 2)})",
-        f"response amplitude max: {sig17(report.response_amplitude_max)}",
-        f"grid size: {report.grid_size}",
-        f"contradiction: {report.contradiction}",
-    ]
-    return "\n".join(lines), 0
+    return _text([
+        ("first moment |.|", report.first_moment_abs),
+        ("second moment |.|", report.second_moment_abs),
+        ("power", f"{sig17(report.power)} (target {sig17(math.pi / 2)})"),
+        ("response amplitude max", report.response_amplitude_max),
+        ("grid size", report.grid_size),
+        ("contradiction", report.contradiction),
+    ]), 0
 
 
 def _cmd_lhv_fit(opts: _Options) -> tuple[_Output, int]:
@@ -353,10 +348,9 @@ def _cmd_lhv_fit(opts: _Options) -> tuple[_Output, int]:
             "seed": seed,
             **result.as_dict(),
         }, 0
-    lines = [f"m_hat: {sig17(result.m_hat)}", f"latent points: {result.model.size}"]
-    for (x, y, i, j), d in sorted(result.per_setting_deviations.items()):
-        lines.append(f"cell x={x:+d} y={y:+d} a{i}b{j}: deviation {sig17(d)}")
-    return "\n".join(lines), 0
+    cells = [(f"cell x={x:+d} y={y:+d} a{i}b{j}", f"deviation {sig17(d)}")
+             for (x, y, i, j), d in sorted(result.per_setting_deviations.items())]
+    return _text([("m_hat", result.m_hat), ("latent points", result.model.size), *cells]), 0
 
 
 def _cmd_sample(opts: _Options) -> tuple[_Output, int]:
@@ -380,15 +374,14 @@ def _cmd_sample(opts: _Options) -> tuple[_Output, int]:
             "n": n,
             "generator": GENERATOR_ID,
             "measure_digest": measure.digest(),
-            "counts": [int(c) for c in empirical.counts],
-            "frequencies": [float(f) for f in empirical.frequencies],
+            "counts": empirical.counts.tolist(),
+            "frequencies": empirical.frequencies.tolist(),
             "partial_expectations": partials,
         }, 0
-    lines = [f"n: {n}", f"seed: {seed}", f"generator: {GENERATOR_ID}"]
-    lines += [f"partial E {label}: {sig17(value)}" for label, value in partials.items()]
-    counts = " ".join(str(int(c)) for c in empirical.counts)
-    lines.append(f"counts: {counts}")
-    return "\n".join(lines), 0
+    partial_rows = [(f"partial E {label}", value) for label, value in partials.items()]
+    counts = " ".join(map(str, empirical.counts.tolist()))
+    return _text([("n", n), ("seed", seed), ("generator", GENERATOR_ID), *partial_rows,
+                  ("counts", counts)]), 0
 
 
 # ---------------------------------------------------------------------------

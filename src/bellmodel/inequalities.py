@@ -78,6 +78,7 @@ class ChshReport(_Record):
 
     term_values: tuple[float, float, float, float]
     bound = CHSH_BOUND
+    _derived = ("combined_value", "bound", "satisfied")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "term_values", tuple(float(t) for t in self.term_values))
@@ -91,14 +92,6 @@ class ChshReport(_Record):
     @property
     def satisfied(self) -> bool:
         return self.combined_value <= self.bound + _ATOL
-
-    def as_dict(self) -> dict:
-        return {
-            "term_values": list(self.term_values),
-            "combined_value": self.combined_value,
-            "bound": self.bound,
-            "satisfied": self.satisfied,
-        }
 
 
 def _partial_term(measure: JointMeasure, i: int, j: int) -> float:
@@ -148,13 +141,11 @@ class BellReport(_Record):
 
     lhs: float
     rhs: float
+    _derived = ("satisfied",)
 
     @property
     def satisfied(self) -> bool:
         return self.lhs <= self.rhs + _ATOL
-
-    def as_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "satisfied": self.satisfied}
 
 
 def bell_original(

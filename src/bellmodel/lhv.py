@@ -33,8 +33,8 @@ import numpy as np
 from scipy.optimize import linprog  # noqa: F401
 
 from .probspace import (
-    COLUMN_ORDER, ROW_ORDER, STRATEGY_ANSWERS, JointMeasure, _integer, _known_keys, _seed,
-    _setting_pair, chsh_measure,
+    COLUMN_ORDER, ROW_ORDER, STRATEGY_ANSWERS, ChshOutcome, JointMeasure, _integer, _known_keys,
+    _seed, _setting_pair, chsh_measure,
 )
 # `conditional_joint_probs` is not called here, `chsh_measure` is.  It stays
 # importable as bellmodel.lhv.conditional_joint_probs, a name only bench/layers.py looks up.
@@ -167,9 +167,6 @@ class ProductFit(_Record):
     def params(self) -> tuple[float, float, float, float]:
         return (self.p_plus_a0, self.p_plus_a1, self.p_plus_b0, self.p_plus_b1)
 
-    def as_dict(self) -> dict:
-        return dict(zip(self._fields, self._values()))
-
 
 def _product_residual(params: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Summed squared error of the product table; broadcasts over leading axes.
@@ -283,6 +280,7 @@ class FourierWitnessReport(_Record):
     power: float
     response_amplitude_max: float
     grid_size: int
+    _derived = ("contradiction",)
 
     @property
     def contradiction(self) -> bool:
@@ -292,9 +290,6 @@ class FourierWitnessReport(_Record):
             and abs(self.power - math.pi / 2.0) <= 1e-8
             and self.response_amplitude_max > 1.0 + 1e-6
         )
-
-    def as_dict(self) -> dict:
-        return dict(zip(self._fields, self._values()), contradiction=self.contradiction)
 
 
 #: Most quadrature nodes `fourier_witness_check` builds at once.
@@ -414,14 +409,6 @@ class LHVModel(_Record, eq=False):
     def size(self) -> int:
         return self.lambda_grid.shape[0]
 
-    def as_dict(self) -> dict:
-        return {
-            "lambda_grid": self.lambda_grid.tolist(),
-            "rho": self.rho.tolist(),
-            "p_response": self.p_response.tolist(),
-            "q_response": self.q_response.tolist(),
-        }
-
     def to_json(self) -> str:
         return json.dumps(self.as_dict())
 
@@ -500,8 +487,8 @@ class SeparabilityResult(_Record, eq=False):
             "lower_bound": self.lower_bound,
             "gap": self.gap,
             "per_setting_deviations": [
-                {"x": x, "y": y, "i": i, "j": j, "deviation": d}
-                for (x, y, i, j), d in self.per_setting_deviations.items()
+                dict(zip(ChshOutcome._fields, cell), deviation=d)
+                for cell, d in self.per_setting_deviations.items()
             ],
             "model": self.model.as_dict(),
         }

@@ -447,11 +447,8 @@ class JointMeasure(_Record, eq=False):
     def as_dict(self) -> dict:
         return {
             "angles": {name: a.radians for name, a in zip(_ANGLE_NAMES, self.angles)},
-            "settings": dict(self.settings.items()),
-            "cells": [
-                {"x": o.x, "y": o.y, "i": o.i, "j": o.j, "p": w}
-                for o, w in zip(OUTCOME_ORDER, self.probs.tolist())
-            ],
+            "settings": self.settings.as_dict(),
+            "cells": [dict(o.as_dict(), p=w) for o, w in zip(OUTCOME_ORDER, self.probs.tolist())],
         }
 
     def to_json(self) -> str:

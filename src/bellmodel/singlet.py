@@ -60,7 +60,13 @@ class _Record:
     ``Name(field=value!r, ...)``, and records compare and hash by their
     field tuples, as frozen dataclasses do; a ``class X(_Record, eq=False)``
     compares and hashes by identity instead.
+
+    A record's document (``as_dict()``) is its fields in order, followed by
+    the attributes named in the class's ``_derived`` tuple, with arrays and
+    tuples written as lists.
     """
+
+    _derived = ()
 
     def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -103,6 +109,16 @@ class _Record:
 
     def __hash__(self) -> int:
         return hash(self._values())
+
+    def as_dict(self) -> dict:
+        return {name: _plain(getattr(self, name)) for name in self._fields + self._derived}
+
+
+def _plain(value: object) -> object:
+    """A document value: an array as nested lists, a tuple as a list."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _canonical_radians(value: float) -> float:

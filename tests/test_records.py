@@ -1,10 +1,12 @@
 """The record contract: every record type of the package is frozen, takes each
 field once by position or keyword, prints and (for value records) compares
 and hashes as the equivalent frozen dataclass would, and survives pickle and
-deepcopy.  A dataclass built from the record's field names is the oracle."""
+deepcopy.  A dataclass built from the record's field names is the oracle.
+A record's JSON document is its fields followed by its derived values."""
 
 import copy
 import dataclasses
+import json
 import math
 import pickle
 
@@ -218,3 +220,33 @@ def test_constructor_arguments(record):
     ]:
         with pytest.raises(TypeError):
             cls(*args, **kwargs)
+
+
+#: Records whose document is their fields then these derived values, in order.
+DERIVED = {
+    "ChshReport": ("combined_value", "bound", "satisfied"),
+    "BellReport": ("satisfied",),
+    "ProductFit": (),
+    "FourierWitnessReport": ("contradiction",),
+    "LHVModel": (),
+    "SettingsDistribution": (),
+    "ChshOutcome": (),
+}
+DOCUMENTED = [r for r in RECORDS if type(r).__name__ in DERIVED]
+
+
+def _plain_json(value) -> bool:
+    """Built only of dicts with str keys, lists, str, int, float, bool and None."""
+    if isinstance(value, dict):
+        return all(type(k) is str and _plain_json(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(map(_plain_json, value))
+    return value is None or type(value) in (str, int, float, bool)
+
+
+@pytest.mark.parametrize("record", DOCUMENTED, ids=_ids(DOCUMENTED))
+def test_document_is_fields_then_derived(record):
+    doc = record.as_dict()
+    assert tuple(doc) == type(record)._fields + DERIVED[type(record).__name__]
+    assert _plain_json(doc)
+    assert json.loads(json.dumps(doc)) == doc
