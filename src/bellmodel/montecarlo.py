@@ -155,7 +155,8 @@ class TrialSeries(_Record, eq=False):
     (an integer array of any width is accepted; values outside 0-15 raise
     ValueError) and is stored read-only; the int8 columns x, y (+-1) and
     i, j (0/1) derive from it.
-    ``measure_digest`` ties the series to the measure it was drawn from and
+    ``measure_digest`` (a str) ties the series to the measure it was drawn
+    from, ``seed`` is one `sample` accepts (0 <= seed < 2**64) and
     ``generator`` (the class attribute `GENERATOR_ID`) names the sampling
     algorithm, so a stored series can be re-derived and audited.
     """
@@ -166,6 +167,9 @@ class TrialSeries(_Record, eq=False):
     generator = GENERATOR_ID
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", _seed(self.seed))
+        if not isinstance(self.measure_digest, str):
+            raise ValueError(f"measure_digest must be a str, got {self.measure_digest!r}")
         cells = _check_cells(self.cells)
         if cells.size == 0:
             raise ValueError("cells must be a non-empty 1-d integer array, got an empty one")

@@ -280,7 +280,8 @@ class TestFactorizabilityFit:
 def full_array_witness(grid_size):
     """The witness over all grid nodes at once: the reference the
     block-by-block version must match bit for bit.  With c = re + i im, every
-    integral is an `np.sum` over one real array of the grid's length."""
+    integral is the exact sum (`math.fsum`) of `np.sum`s over consecutive
+    `_WITNESS_BLOCK` slices of one real array of the grid's length."""
     grid_size = lhv._integer("grid_size", grid_size)
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
@@ -290,9 +291,13 @@ def full_array_witness(grid_size):
     im = c.imag * math.sqrt(math.pi / 2.0)
     w = 1.0 / grid_size
 
-    first = abs(complex(np.sum(re) * w, np.sum(im) * w))
-    second = abs(complex(np.sum(re * re - im * im) * w, 2.0 * np.sum(re * im) * w))
-    power = float(np.sum(re * re + im * im) * w)
+    def total(values):
+        return math.fsum(np.sum(values[k:k + lhv._WITNESS_BLOCK])
+                         for k in range(0, grid_size, lhv._WITNESS_BLOCK))
+
+    first = abs(complex(total(re) * w, total(im) * w))
+    second = abs(complex(total(re * re - im * im) * w, 2.0 * total(re * im) * w))
+    power = total(re * re + im * im) * w
     # Square roots, doubling and dividing by a positive number round
     # monotonically, so they can follow the maximum.
     amplitude = 2.0 * math.sqrt(np.max(re * re + im * im)) / math.sqrt(math.pi)
@@ -331,8 +336,9 @@ class TestFourierWitness:
             fourier_witness_check(grid_size=99)
 
     def test_peak_memory_bounded(self):
-        """One block of nodes at a time, 24 bytes per node, whatever the grid:
-        the full-array version held 24 bytes per grid node."""
+        """One block of nodes at a time, 24 bytes per node, plus 40 bytes of
+        block sums per block: the full-array version held 24 bytes per grid
+        node."""
         for grid in (50000, 1000000):
             tracemalloc.start()
             try:
@@ -341,6 +347,17 @@ class TestFourierWitness:
             finally:
                 tracemalloc.stop()
             assert peak < 2 * 24 * lhv._WITNESS_BLOCK, grid
+
+    @pytest.mark.parametrize("grid", [100, 101, 1037, 2047, 2048, 2049, 4095, 4096, 4097,
+                                      8193, 10**4, 16385, 5 * 10**4, 3 * 10**5, 10**6])
+    def test_accuracy(self, grid):
+        """The moments integrate to exactly 0 and the power to pi/2: the
+        rounding of the sums stays within a few units in the last place of
+        pi/2."""
+        report = fourier_witness_check(grid)
+        assert abs(report.power - math.pi / 2) <= 2e-15
+        assert report.first_moment_abs <= 1e-15
+        assert report.second_moment_abs <= 1e-15
 
     @pytest.mark.parametrize("grid", [
         *(k * lhv._WITNESS_BLOCK + d for k in (1, 2) for d in (-1, 0, 1)),

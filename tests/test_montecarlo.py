@@ -255,6 +255,25 @@ class TestSampling:
         with pytest.raises(TypeError):
             TrialSeries(np.array([1, 2]), 0, "", "not-a-generator")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5])
+    def test_rejects_a_seed_sample_would_reject(self, seed):
+        """A stored series must be re-derivable: its seed is one `sample` takes."""
+        with pytest.raises(ValueError, match="^seed must"):
+            TrialSeries(np.array([1, 2]), seed, "")
+        with pytest.raises(ValueError, match="^seed must"):
+            sample(chsh_measure(TSIRELSON_ANGLES), 2, seed=seed)
+
+    @pytest.mark.parametrize("digest", [123, None, b"abc"])
+    def test_rejects_a_digest_that_is_not_a_str(self, digest):
+        with pytest.raises(ValueError, match="^measure_digest must be a str"):
+            TrialSeries(np.array([1, 2]), 0, digest)
+        with pytest.raises(ValueError, match="^measure_digest must be a str"):
+            TrialSeries.from_columns([1], [1], [0], [0], seed=0, measure_digest=digest)
+
+    def test_integral_seed_stored_as_int(self):
+        series = TrialSeries(np.array([1, 2]), np.uint64(2**64 - 1), "")
+        assert type(series.seed) is int and series.seed == 2**64 - 1
+
     def test_record_access(self):
         """Trial k is the canonical outcome of its cell, at any integer index;
         iteration stops at the end of the series."""

@@ -75,15 +75,16 @@ PINNED = [
       "--format", "json"),
      "147c37d4989ebaa016e56345fa7829508f05f28c449290e160c29d05620df0a3"),
     (("witness", "--format", "json"),
-     "aa129a031b217d95d04dd2d7e4754b8e3d2c5fb956ca87bf54c024d96bec7895"),
+     "48174722e24cf02e89b428d8bc715554f178046e2441b70db49fd6810abadce4"),
     (("witness", "--format", "table"),
-     "a0f6c9bdbf54e88069448186fe8c3381676daa518703b44bf25bc482ad23f046"),
-    # The witness sums one block of 2048 nodes at a time: 10**6 nodes take
-    # hundreds of blocks, and 16385 = 8 * 2048 + 1 nodes end one node past a block.
+     "9d2161a7d315c9feb12bb65a4c2495b95d4e12325623306cfe530f8e723d28f6"),
+    # The witness sums one block of 2048 nodes at a time and adds the block
+    # sums exactly: 10**6 nodes take hundreds of blocks, and
+    # 16385 = 8 * 2048 + 1 nodes end one node past a block.
     (("witness", "--grid", "1000000", "--format", "json"),
-     "89b73b8053f225d934a3e70057a5ee2aadb9dbb42060e9e4fb7a6dd84eac620c"),
+     "c3252dec1f5ba5d38beabefd7a6bcca29fe7e8202c610ebceaa9051faa795aa5"),
     (("witness", "--grid", "16385", "--format", "table"),
-     "290c2e371f1d03e0d50f13eaa8e282e6602755f00b94449dd2b4ad1faa11305b"),
+     "c36c2626e25e0e8df5da788aeada356530b9e096e51cbec752de0fb13c08f736"),
     (("sample", "--n", "20000", "--format", "csv"),
      "f57ffbc3b317bff739b6a726469135c02873c83924f631174d53c091201fb452"),
     (("sample", "--n", "20000", "--format", "json"),
