@@ -306,16 +306,13 @@ def fourier_witness_check(grid_size: int = 10000) -> FourierWitnessReport:
     re^2 + im^2 come from one complex `np.exp` per node by elementwise ops,
     which every kernel numpy picks rounds alike.  `np.sum` sums each
     `_WITNESS_BLOCK`-node piece and `math.fsum` the pieces: memory is one
-    piece plus 40 bytes per piece.
+    piece plus 48 bytes per piece.
     """
     grid_size = _integer("grid_size", grid_size)
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
 
-    peak = 0.0
-
     def sums(start: int, stop: int) -> np.ndarray:
-        nonlocal peak
         scratch = np.arange(start, stop, dtype=float)
         scratch += 0.5
         scratch /= grid_size
@@ -326,27 +323,27 @@ def fourier_witness_check(grid_size: int = 10000) -> FourierWitnessReport:
         np.multiply(scratch, 2.0 * math.pi, out=im)
         np.exp(c, out=c)
         parts *= math.sqrt(math.pi / 2.0)
-        out = np.empty(5)  # re, im, re im, re^2 - im^2, re^2 + im^2, each summed
+        out = np.empty(6)  # sums of re, im, re im, re^2 - im^2, re^2 + im^2; max re^2 + im^2
         out[0], out[1] = np.sum(re), np.sum(im)
         out[2] = np.sum(np.multiply(re, im, out=scratch))
         parts *= parts  # re and im now hold re^2 and im^2
         out[3] = np.sum(np.subtract(re, im, out=scratch))
         out[4] = np.sum(np.add(re, im, out=scratch))
-        peak = max(peak, np.max(scratch))
+        out[5] = np.max(scratch)
         return out
 
     starts = range(0, grid_size, _WITNESS_BLOCK)
-    pieces = np.empty((5, len(starts)))
+    pieces = np.empty((6, len(starts)))
     for k, start in enumerate(starts):
         pieces[:, k] = sums(start, min(start + _WITNESS_BLOCK, grid_size))
     w = 1.0 / grid_size
-    total_re, total_im, total_re_im, total_diff, total_power = map(math.fsum, pieces)
+    total_re, total_im, total_re_im, total_diff, total_power = map(math.fsum, pieces[:5])
     first = abs(complex(total_re * w, total_im * w))
     second = abs(complex(total_diff * w, 2.0 * total_re_im * w))
     power = total_power * w
     # Square roots, doubling and dividing by a positive number round
     # monotonically, so they can follow the maximum.
-    amplitude = 2.0 * math.sqrt(peak) / math.sqrt(math.pi)
+    amplitude = 2.0 * math.sqrt(np.max(pieces[5])) / math.sqrt(math.pi)
     return FourierWitnessReport(
         first_moment_abs=first,
         second_moment_abs=second,
@@ -460,7 +457,8 @@ class SeparabilityResult(_Record, eq=False):
     predictions and the target over the 16 cells, i.e. the max of
     ``per_setting_deviations``.  ``lower_bound`` is the closed-form optimum
     m = max(0, (S - 2) / 16) of `_local_optimum`, S the largest CHSH value:
-    no local model, on any latent grid, has a worst deviation below it.
+    no local model, on any latent grid, has a worst deviation below it, up
+    to rounding in its last bit: S is computed in floats.
     ``gap`` (derived) is ``m_hat - lower_bound``.
     """
 
@@ -664,8 +662,8 @@ def m_separability_search(
       two structured two-point starts and ``restarts`` seeded random starts.
 
     The result's ``lower_bound`` is m, a certificate that no local model on
-    any grid does better; ``gap`` is how far ``m_hat`` sits above it (within
-    rounding of 0 on the exact path).
+    any grid does better, up to rounding in its last bit; ``gap`` is how far
+    ``m_hat`` sits above it (within rounding of 0 on the exact path).
     """
     grid_size, restarts = _integer("grid_size", grid_size), _integer("restarts", restarts)
     seed = _seed(seed)

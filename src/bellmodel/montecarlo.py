@@ -220,14 +220,10 @@ class TrialSeries(_Record, eq=False):
             raise TypeError(f"trial index must be an integer, got {type(n).__name__}")
         return OUTCOME_ORDER[self.cells[range(len(self))[n]]]
 
-    def _blocks(self) -> Iterator[np.ndarray]:
-        for start in range(0, len(self), _BLOCK):
-            yield self.cells[start : start + _BLOCK]
-
     def to_csv(self) -> str:
         """Trial CSV, built one `_BLOCK` of trials at a time from table
         lookups: digit words of each index and one of 16 cell suffixes."""
-        return "".join(trial_csv(self._blocks()))
+        return "".join(trial_csv([self.cells]))
 
     def to_binary(self) -> bytes:
         return _BYTE_OF_CELL[self.cells].tobytes()
@@ -353,15 +349,17 @@ class EmpiricalMeasure(_Record, eq=False):
 
 
 def empirical_measure(trials: TrialSeries | Iterable[np.ndarray]) -> EmpiricalMeasure:
-    """Cell counts of a series (one `_BLOCK` at a time), of a draw
-    `sample_chunks` returns (counted from its uniforms, with no cell array),
-    or of any chunks of cells, added up one chunk at a time."""
+    """Cell counts of a draw `sample_chunks` returns (counted from its
+    uniforms, with no cell array), of a series (the one chunk of its cells)
+    or of any chunks of cells, each counted one `_BLOCK` at a time."""
     if isinstance(trials, _Draw):
         return EmpiricalMeasure(trials.counts())
-    chunks = trials._blocks() if isinstance(trials, TrialSeries) else trials
+    chunks = [trials.cells] if isinstance(trials, TrialSeries) else trials
     counts = np.zeros(16, dtype=np.int64)
     for cells in chunks:
-        counts += np.bincount(_check_cells(cells), minlength=16)
+        cells = _check_cells(cells)
+        for offset in range(0, len(cells), _BLOCK):
+            counts += np.bincount(cells[offset : offset + _BLOCK], minlength=16)
     return EmpiricalMeasure(counts)
 
 

@@ -336,9 +336,9 @@ class TestFourierWitness:
             fourier_witness_check(grid_size=99)
 
     def test_peak_memory_bounded(self):
-        """One block of nodes at a time, 24 bytes per node, plus 40 bytes of
-        block sums per block: the full-array version held 24 bytes per grid
-        node."""
+        """One block of nodes at a time, 24 bytes per node, plus 48 bytes of
+        block sums and maximum per block: the full-array version held 24
+        bytes per grid node."""
         for grid in (50000, 1000000):
             tracemalloc.start()
             try:
@@ -986,6 +986,46 @@ class TestOnePoint:
         np.testing.assert_array_equal(result.model.p_response, FAIR_COIN)
         np.testing.assert_array_equal(result.model.q_response, FAIR_COIN)
         assert result.m_hat == float(np.max(np.abs(target_of(angles) - 0.25)))
+
+
+def mirror_floor(angles, points=200001):
+    """A floor on the worst deviation of every two-point model of the table.
+
+    Two points give correlators A B^T + a b^T, with A, B the mean answers
+    and a, b in [-1, 1]^2, so the mirror pair answering a, b is no worse in
+    any cell: its worst deviation is max_ij |a_i b_j - E_ij| / 4.  Scaling a
+    by c and b by 1 / c, c of either sign, leaves a b^T alone, so b can be
+    taken on the square's edge, b = (1, s) or (s, 1).  For b = (1, s) row
+    i's best a_i leaves at least max(|E_i0 s - E_i1| / (1 + |s|), |E_i1| -
+    |s|), which is 2-Lipschitz in s: the least value over ``points`` evenly
+    spaced s, less the spacing, bounds the least value over every s.
+    """
+    s = np.linspace(-1.0, 1.0, points)
+    step = 2.0 / (points - 1)
+    e = correlators(chsh_measure(angles).table)
+    least = min(
+        np.maximum(np.abs(f[:, :1] * s - f[:, 1:]) / (1.0 + np.abs(s)),
+                   np.abs(f[:, 1:]) - np.abs(s)).max(axis=0).min()
+        for f in (e, e[:, ::-1])  # b = (1, s), then b = (s, 1)
+    )
+    return (least - step) / 4.0
+
+
+class TestTwoPoint:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        angles=st.lists(st.floats(0.0, math.pi), min_size=4, max_size=4),
+        restarts=st.integers(0, 2),
+        seed=st.integers(0, 9),
+    )
+    def test_no_answer_beats_the_mirror_floor(self, angles, restarts, seed):
+        angles = tuple(DetectorAngle(a) for a in angles)
+        assert m_separability_search(angles, 2, restarts, seed).m_hat >= mirror_floor(angles)
+
+    def test_tsirelson_answer_meets_the_floor(self):
+        """At Tsirelson the fair coin, which the search starts from, is the best mirror pair."""
+        floor = mirror_floor(TSIRELSON_ANGLES)
+        assert floor <= m_separability_search(TSIRELSON_ANGLES, 2, 0, 0).m_hat <= floor + 3e-6
 
 
 class TestSearchVector:

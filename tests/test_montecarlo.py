@@ -668,6 +668,21 @@ class TestStreaming:
         assert emp.n == 64 * CHUNK
         assert peak < 2 * 9 * BLOCK
 
+    def test_long_chunk_counted_one_block_at_a_time(self):
+        """A caller's chunk of any length is counted in `BLOCK` pieces: the
+        count's index copy is one block's, not one of the whole chunk, so
+        the peak stays within the bound of counting a draw."""
+        draw = sample_chunks(chsh_measure(TSIRELSON_ANGLES), 64 * CHUNK, seed=6)
+        cells = np.concatenate(list(draw))
+        tracemalloc.start()
+        try:
+            emp = empirical_measure([cells])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(emp.counts, empirical_measure(draw).counts)
+        assert peak < 2 * 9 * BLOCK
+
 
 class TestSerialization:
     def test_csv_layout(self):
